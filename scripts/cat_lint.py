@@ -98,7 +98,6 @@ DEFAULT_ALLOC_FREE_TUS = [
 # dimensioned public fields. Numerics options (tolerances on caller-defined
 # scales) are dimension-agnostic by design and stay out of scope.
 DEFAULT_UNIT_SUFFIX_FILES = [
-    "src/core/driver.hpp",
     "src/scenario/batch.hpp",
     "src/scenario/pulse.hpp",
     "src/scenario/runner.hpp",

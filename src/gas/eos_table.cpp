@@ -133,12 +133,6 @@ double EquilibriumEosTable::sound_speed(double rho, double e) const {
   return a_(lr(rho), le(e));
 }
 
-double EquilibriumEosTable::mass_fraction(std::size_t s, double rho,
-                                          double e) const {
-  CAT_REQUIRE(s < n_species_, "species index out of range");
-  return std::clamp(y_[s](lr(rho), le(e)), 0.0, 1.0);
-}
-
 void EquilibriumEosTable::mass_fractions(double rho, double e,
                                          std::span<double> y) const {
   CAT_REQUIRE(y.size() == n_species_, "output size mismatch");

@@ -40,8 +40,6 @@ class EquilibriumEosTable {
   double temperature(double rho, double e) const;
   /// Equilibrium sound speed (from tabulated dp/drho, dp/de identity).
   double sound_speed(double rho, double e) const;
-  /// Mass fraction of local species index s.
-  double mass_fraction(std::size_t s, double rho, double e) const;
   /// All mass fractions at once into \p y (size n_species).
   void mass_fractions(double rho, double e, std::span<double> y) const;
 

@@ -27,29 +27,4 @@ double IdealGas::sound_speed(double rho, double p) const {
   return std::sqrt(gamma_ * p / rho);
 }
 
-double IdealGas::enthalpy(double rho, double p) const {
-  return internal_energy(rho, p) + p / rho;
-}
-
-IdealGas::ShockJump IdealGas::normal_shock(double m1) const {
-  CAT_REQUIRE(m1 >= 1.0, "normal shock requires supersonic upstream");
-  const double g = gamma_;
-  const double m1sq = m1 * m1;
-  ShockJump j;
-  j.rho_ratio = (g + 1.0) * m1sq / ((g - 1.0) * m1sq + 2.0);
-  j.p_ratio = 1.0 + 2.0 * g / (g + 1.0) * (m1sq - 1.0);
-  j.t_ratio = j.p_ratio / j.rho_ratio;
-  j.m2 = std::sqrt(((g - 1.0) * m1sq + 2.0) / (2.0 * g * m1sq - (g - 1.0)));
-  return j;
-}
-
-IdealGas::Isentropic IdealGas::isentropic(double m) const {
-  const double g = gamma_;
-  Isentropic rel;
-  rel.t0_over_t = 1.0 + 0.5 * (g - 1.0) * m * m;
-  rel.p0_over_p = std::pow(rel.t0_over_t, g / (g - 1.0));
-  rel.rho0_over_rho = std::pow(rel.t0_over_t, 1.0 / (g - 1.0));
-  return rel;
-}
-
 }  // namespace cat::gas

@@ -22,21 +22,6 @@ class IdealGas {
   double internal_energy(double rho, double p) const;   ///< e(rho, p)
   double temperature(double rho, double p) const;       ///< T = p/(rho R)
   double sound_speed(double rho, double p) const;       ///< sqrt(gamma p/rho)
-  double enthalpy(double rho, double p) const;          ///< h = e + p/rho
-
-  /// Normal-shock jump (Rankine-Hugoniot) for upstream Mach number m1:
-  /// returns density, pressure and temperature ratios and the downstream
-  /// Mach number.
-  struct ShockJump {
-    double rho_ratio, p_ratio, t_ratio, m2;
-  };
-  ShockJump normal_shock(double m1) const;
-
-  /// Isentropic relations p0/p, T0/T, rho0/rho at Mach m.
-  struct Isentropic {
-    double p0_over_p, t0_over_t, rho0_over_rho;
-  };
-  Isentropic isentropic(double m) const;
 
  private:
   double gamma_, r_;

@@ -106,15 +106,6 @@ Species nonlinear_poly(std::string name, double m, int n, int o, int c, int h,
 
 }  // namespace
 
-int Species::atom_count() const {
-  int n = 0;
-  for (std::size_t e = 0; e < kNumElements; ++e) {
-    if (e == kQ) continue;
-    n += composition[e];
-  }
-  return n;
-}
-
 SpeciesDatabase::SpeciesDatabase() {
   using EL = std::vector<ElectronicLevel>;
   // ----- air neutrals -------------------------------------------------

@@ -71,8 +71,6 @@ struct Species {
 
   bool is_electron() const { return name == "e-"; }
   bool is_molecule() const { return rotor != RotorType::kAtom; }
-  /// Number of atoms in the species (0 for the electron).
-  int atom_count() const;
 };
 
 /// Global registry of every species known to the library. Indices into this

@@ -208,8 +208,4 @@ double cp_mass(const Species& s, double t) {
   return cp_mole(s, t) / s.molar_mass;
 }
 
-double vibronic_energy_mass(const Species& s, double tv) {
-  return vibronic_energy_mole(s, tv) / s.molar_mass;
-}
-
 }  // namespace cat::gas

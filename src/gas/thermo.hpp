@@ -102,6 +102,5 @@ double vibronic_cv_mole(const Species& s, double tv);
 /// --- per-mass helpers ---------------------------------------------------
 double enthalpy_mass(const Species& s, double t);        ///< [J/kg]
 double cp_mass(const Species& s, double t);              ///< [J/(kg K)]
-double vibronic_energy_mass(const Species& s, double tv);///< [J/kg]
 
 }  // namespace cat::gas

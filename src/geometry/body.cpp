@@ -7,17 +7,6 @@
 
 namespace cat::geometry {
 
-std::vector<SurfacePoint> Body::sample(std::size_t n, double s_max) const {
-  CAT_REQUIRE(n >= 2, "need at least two sample points");
-  if (s_max <= 0.0) s_max = total_arc_length();
-  std::vector<SurfacePoint> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    pts.push_back(at(s_max * static_cast<double>(i) /
-                     static_cast<double>(n - 1)));
-  return pts;
-}
-
 Sphere::Sphere(double radius) : radius_(radius) {
   CAT_REQUIRE(radius > 0.0, "radius must be positive");
 }

@@ -31,9 +31,6 @@ class Body {
   virtual double nose_radius() const = 0;
   virtual double total_arc_length() const = 0;
   virtual std::string name() const = 0;
-
-  /// Uniform sampling of the generator (n points from 0 to s_max).
-  std::vector<SurfacePoint> sample(std::size_t n, double s_max = -1.0) const;
 };
 
 /// Sphere of radius R (hemisphere forebody): s in [0, pi/2 R].

@@ -99,19 +99,6 @@ double Pchip::operator()(double x) const {
   return h00 * y_[i] + h10 * h * m_[i] + h01 * y_[i + 1] + h11 * h * m_[i + 1];
 }
 
-double Pchip::derivative(double x) const {
-  x = std::clamp(x, x_.front(), x_.back());
-  const std::size_t i = locate(x);
-  const double h = x_[i + 1] - x_[i];
-  const double t = (x - x_[i]) / h;
-  const double t2 = t * t;
-  const double dh00 = (6 * t2 - 6 * t) / h;
-  const double dh10 = 3 * t2 - 4 * t + 1;
-  const double dh01 = (-6 * t2 + 6 * t) / h;
-  const double dh11 = 3 * t2 - 2 * t;
-  return dh00 * y_[i] + dh10 * m_[i] + dh01 * y_[i + 1] + dh11 * m_[i + 1];
-}
-
 BilinearTable::BilinearTable(double x0, double dx, std::size_t nx, double y0,
                              double dy, std::size_t ny)
     : x0_(x0), dx_(dx), y0_(y0), dy_(dy), nx_(nx), ny_(ny), v_(nx * ny, 0.0) {

@@ -41,7 +41,6 @@ class Pchip {
   Pchip(std::vector<double> x, std::vector<double> y);
 
   double operator()(double x) const;
-  double derivative(double x) const;
 
  private:
   std::vector<double> x_, y_, m_;  // m_ = endpoint slopes per node

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/heating.hpp"
 #include "scenario/runner_detail.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
@@ -63,7 +62,7 @@ CaseResult run_correlation_case(const Case& c) {
   }
   const double q_mean =
       q_sum / static_cast<double>(correlations_ns::kAllCorrelations.size());
-  const double q_rad = core::tauber_sutton_radiative(
+  const double q_rad = correlations_ns::tauber_sutton_radiative(
       cc.rho_inf_kg_m3, cc.velocity_mps, cc.nose_radius_m);
 
   // Headline q_conv is the Fay-Riddell chain (the physics-based member);

@@ -154,7 +154,7 @@ ServeReply Server::compute(const Case& c) {
       r.ok = true;
       r.tier = "surrogate";
       r.metrics = res.metrics;
-      served_surrogate_.fetch_add(1, std::memory_order_relaxed);
+      bump(kServedSurrogate);
       return r;
     } catch (const Error&) {
       // No registered table covers this state: drop one rung.
@@ -171,7 +171,7 @@ ServeReply Server::compute(const Case& c) {
       r.ok = true;
       r.tier = "correlation";
       r.metrics = res.metrics;
-      served_correlation_.fetch_add(1, std::memory_order_relaxed);
+      bump(kServedCorrelation);
       return r;
     } catch (const Error&) {
       // Solver gave up: last rung below.
@@ -186,7 +186,7 @@ ServeReply Server::compute(const Case& c) {
   // runner: the serving queue is the parallelism layer, and a nested
   // parallel_for on the shared pool would degrade to serial anyway.
   if (!opt_.allow_solve) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    bump(kErrors);
     r.ok = false;
     r.error = "full-solve tier disabled on this server";
     return r;
@@ -198,10 +198,10 @@ ServeReply Server::compute(const Case& c) {
     r.ok = true;
     r.tier = "solve";
     r.metrics = res.metrics;
-    served_solve_.fetch_add(1, std::memory_order_relaxed);
+    bump(kServedSolve);
     return r;
   } catch (const std::exception& err) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    bump(kErrors);
     r.ok = false;
     r.tier.clear();
     r.metrics.clear();
@@ -211,7 +211,7 @@ ServeReply Server::compute(const Case& c) {
 }
 
 ServeReply Server::serve(const Case& c) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  bump(kRequests);
   const std::string key = canonical_case_key(c);
   if (key.empty()) return compute(c);  // uncacheable: compute in-place
 
@@ -222,7 +222,7 @@ ServeReply Server::serve(const Case& c) {
     cat::MutexLock lock(shard.mu);
     const auto hit = shard.cache.find(key);
     if (hit != shard.cache.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      bump(kCacheHits);
       ServeReply r = hit->second;
       r.from_cache = true;
       return r;
@@ -257,6 +257,7 @@ ServeReply Server::serve(const Case& c) {
     if (!queued) {
       // Shutdown raced the submit: resolve the pending slot ourselves so
       // coalesced waiters (and we) get a definite answer.
+      bump(kErrors);
       {
         cat::MutexLock lock(shard.mu);
         shard.inflight.erase(key);
@@ -271,7 +272,7 @@ ServeReply Server::serve(const Case& c) {
       pending->cv.notify_all();
     }
   } else {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    bump(kCoalesced);
   }
 
   const auto timeout = std::chrono::duration<double>(opt_.request_timeout_s);
@@ -286,7 +287,7 @@ ServeReply Server::serve(const Case& c) {
     if (done) r = pending->reply;
   }
   if (!done) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    bump(kTimeouts);
     r = ServeReply{};
     r.case_name = c.name;
     r.error = "request timed out (the computation continues and will "
@@ -298,15 +299,18 @@ ServeReply Server::serve(const Case& c) {
 }
 
 ServeStats Server::stats() const {
+  const auto get = [this](Counter c) {
+    return counters_[c].load(std::memory_order_relaxed);
+  };
   ServeStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.served_surrogate = served_surrogate_.load(std::memory_order_relaxed);
-  s.served_correlation = served_correlation_.load(std::memory_order_relaxed);
-  s.served_solve = served_solve_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.timeouts = timeouts_.load(std::memory_order_relaxed);
+  s.requests = get(kRequests);
+  s.cache_hits = get(kCacheHits);
+  s.coalesced = get(kCoalesced);
+  s.served_surrogate = get(kServedSurrogate);
+  s.served_correlation = get(kServedCorrelation);
+  s.served_solve = get(kServedSolve);
+  s.errors = get(kErrors);
+  s.timeouts = get(kTimeouts);
   return s;
 }
 

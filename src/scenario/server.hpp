@@ -23,6 +23,7 @@
 /// determinism discipline, extended to the service). tools/cat_serve.cpp
 /// puts a line-oriented stdio/TCP front on this façade.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -113,14 +114,22 @@ class Server {
   ServerOptions opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<std::size_t> requests_{0};
-  std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> coalesced_{0};
-  std::atomic<std::size_t> served_surrogate_{0};
-  std::atomic<std::size_t> served_correlation_{0};
-  std::atomic<std::size_t> served_solve_{0};
-  std::atomic<std::size_t> errors_{0};
-  std::atomic<std::size_t> timeouts_{0};
+  /// One slot per ServeStats field, in field order.
+  enum Counter : unsigned char {
+    kRequests,
+    kCacheHits,
+    kCoalesced,
+    kServedSurrogate,
+    kServedCorrelation,
+    kServedSolve,
+    kErrors,
+    kTimeouts,
+    kNCounters,
+  };
+  void bump(Counter c) {
+    counters_[c].fetch_add(1, std::memory_order_relaxed);
+  }
+  std::array<std::atomic<std::size_t>, kNCounters> counters_{};
 
   // Pool before queue: the queue's drain loops park inside the pool, so
   // the queue must shut down (member order: destroyed first) before the

@@ -14,14 +14,10 @@ namespace cat::scenario {
 
 namespace {
 
-// Format v2 records the base case's solver family + angle of attack in
-// the identity block (the v1 matching bug: a sphere-cone or trajectory
-// case with the same nose radius silently got a hemisphere
-// stagnation-point table's answer). v1 records are still loadable — every
-// v1 table was built by the kStagnationPoint builder at zero angle of
-// attack, so those identity defaults are exact, not guesses.
+// The identity block records the base case's solver family + angle of
+// attack, so a sphere-cone or trajectory case with the same nose radius
+// can never be served a hemisphere stagnation-point table's answer.
 constexpr const char* kMagic = "CATSURR2";
-constexpr const char* kMagicV1 = "CATSURR1";
 
 void validate_domain(const SurrogateDomain& d) {
   CAT_REQUIRE(d.n_velocity >= 2 && d.n_altitude >= 2,
@@ -144,14 +140,6 @@ double SurrogateTable::mean_bound(std::size_t channel) const {
   return sum / static_cast<double>(bounds_[channel].size());
 }
 
-double SurrogateTable::node_value(std::size_t channel, std::size_t iv,
-                                  std::size_t ia) const {
-  CAT_REQUIRE(channel < kNChannels, "bad surrogate channel");
-  CAT_REQUIRE(iv < domain_.n_velocity && ia < domain_.n_altitude,
-              "surrogate node index out of range");
-  return values_[channel].at(iv, ia);
-}
-
 void SurrogateTable::save(const std::string& path) const {
   io::BinaryWriter w(path);
   w.write_magic(kMagic);
@@ -189,10 +177,9 @@ namespace {
 SurrogateTable load_from(io::BinaryReader& r) {
   const std::string& path = r.name();
   const std::string magic = r.read_magic();
-  if (magic != kMagic && magic != kMagicV1)
+  if (magic != kMagic)
     throw Error("SurrogateTable::load: '" + path +
-                "' is not a CATSURR record (bad magic)");
-  const bool legacy_v1 = magic == kMagicV1;
+                "' is not a CATSURR2 record (bad magic)");
   SurrogateMeta meta;
   const std::uint64_t planet = r.read_u64();
   const std::uint64_t gas = r.read_u64();
@@ -202,22 +189,15 @@ SurrogateTable load_from(io::BinaryReader& r) {
                 "' names an unknown planet/gas (corrupt or newer record)");
   meta.planet = static_cast<Planet>(planet);
   meta.gas = static_cast<GasModelKind>(gas);
-  if (legacy_v1) {
-    // v1 predates the identity fields; every v1 table came out of the
-    // kStagnationPoint builder at zero angle of attack (the defaults set
-    // in SurrogateMeta), so there is nothing to read here.
-  } else {
-    const std::uint64_t family = r.read_u64();
-    if (family > static_cast<std::uint64_t>(
-                     SolverFamily::kShockTubeRelaxation))
-      throw Error("SurrogateTable::load: '" + path +
-                  "' names an unknown solver family (corrupt or newer "
-                  "record)");
-    meta.family = static_cast<SolverFamily>(family);
-  }
+  const std::uint64_t family = r.read_u64();
+  if (family > static_cast<std::uint64_t>(SolverFamily::kShockTubeRelaxation))
+    throw Error("SurrogateTable::load: '" + path +
+                "' names an unknown solver family (corrupt or newer "
+                "record)");
+  meta.family = static_cast<SolverFamily>(family);
   meta.nose_radius_m = r.read_f64();
   meta.wall_temperature_K = r.read_f64();
-  if (!legacy_v1) meta.angle_of_attack_rad = r.read_f64();
+  meta.angle_of_attack_rad = r.read_f64();
   if (!std::isfinite(meta.nose_radius_m) ||
       !std::isfinite(meta.wall_temperature_K) ||
       !std::isfinite(meta.angle_of_attack_rad))

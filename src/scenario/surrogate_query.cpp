@@ -31,24 +31,6 @@ bool SurrogateTable::covers(double velocity_mps, double altitude_m) const {
          altitude_m <= domain_.altitude_max_m;
 }
 
-std::size_t SurrogateTable::cell_index(double velocity_mps,
-                                       double altitude_m) const {
-  // Same cell selection as BilinearTable::operator(): clamp the index so
-  // upper-edge queries land in the last cell.
-  const std::size_t nv = domain_.n_velocity, na = domain_.n_altitude;
-  const double dv = (domain_.velocity_max_mps - domain_.velocity_min_mps) /
-                    static_cast<double>(nv - 1);
-  const double da = (domain_.altitude_max_m - domain_.altitude_min_m) /
-                    static_cast<double>(na - 1);
-  const double fv = (velocity_mps - domain_.velocity_min_mps) / dv;
-  const double fa = (altitude_m - domain_.altitude_min_m) / da;
-  const std::size_t i =
-      std::min(static_cast<std::size_t>(std::max(fv, 0.0)), nv - 2);
-  const std::size_t j =
-      std::min(static_cast<std::size_t>(std::max(fa, 0.0)), na - 2);
-  return i * (na - 1) + j;
-}
-
 SurrogateAnswer SurrogateTable::query(double velocity_mps,
                                       double altitude_m) const {
   if (!covers(velocity_mps, altitude_m))

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/heating.hpp"
 #include "transport/transport.hpp"
 
 namespace cat::solvers::correlations {
@@ -91,14 +90,14 @@ EdgeEstimate estimate_edge(const CorrelationConditions& c) {
   // Edge density from the cold-composition gas law (dissociation raises R
   // by <~30%, a <~12% density effect entering the flux at the 0.4 power).
   e.rho_stag_kg_m3 = e.p_stag_Pa / (kRAir * e.t_stag_K);
-  e.du_dx_Hz = core::newtonian_velocity_gradient(
+  e.du_dx_Hz = newtonian_velocity_gradient(
       c.nose_radius_m, e.p_stag_Pa, c.p_inf_Pa, e.rho_stag_kg_m3);
   return e;
 }
 
 double fay_riddell_heating(const CorrelationConditions& c) {
   const EdgeEstimate e = estimate_edge(c);
-  core::FayRiddellInputs in;
+  FayRiddellInputs in;
   in.rho_e = e.rho_stag_kg_m3;
   in.mu_e = transport::sutherland_viscosity(e.t_stag_K);
   in.rho_w = e.p_stag_Pa / (kRAir * c.wall_temperature_K);
@@ -110,7 +109,7 @@ double fay_riddell_heating(const CorrelationConditions& c) {
   // dissociation (the Lewis-number term's carrier).
   in.h_dissociation =
       std::max(e.h0_J_per_kg - kCpCold * e.t_stag_K, 0.0);
-  return core::fay_riddell(in);
+  return fay_riddell(in);
 }
 
 double kemp_riddell_heating(const CorrelationConditions& c) {
@@ -167,6 +166,49 @@ double stagnation_heating(CorrelationKind kind,
       return detra_kemp_riddell_heating(c);
   }
   throw std::invalid_argument("stagnation_heating: unknown correlation");
+}
+
+double fay_riddell(const FayRiddellInputs& in) {
+  CAT_REQUIRE(in.rho_e > 0.0 && in.mu_e > 0.0, "bad edge state");
+  CAT_REQUIRE(in.du_dx > 0.0, "velocity gradient must be positive");
+  const double le_term =
+      1.0 + (std::pow(in.lewis, 0.52) - 1.0) *
+                (in.h0_e > 0.0 ? in.h_dissociation / in.h0_e : 0.0);
+  return 0.76 * std::pow(in.prandtl, -0.6) *
+         std::pow(in.rho_e * in.mu_e, 0.4) *
+         std::pow(in.rho_w * in.mu_w, 0.1) * std::sqrt(in.du_dx) *
+         (in.h0_e - in.h_w) * le_term;
+}
+
+double newtonian_velocity_gradient(double nose_radius, double p_e,
+                                   double p_inf, double rho_e) {
+  CAT_REQUIRE(nose_radius > 0.0 && rho_e > 0.0, "bad inputs");
+  CAT_REQUIRE(p_e > p_inf, "edge pressure must exceed freestream");
+  return std::sqrt(2.0 * (p_e - p_inf) / rho_e) / nose_radius;
+}
+
+double sutton_graves(double rho_inf, double velocity, double nose_radius,
+                     double k) {
+  CAT_REQUIRE(rho_inf > 0.0 && nose_radius > 0.0, "bad inputs");
+  return k * std::sqrt(rho_inf / nose_radius) * velocity * velocity *
+         velocity;
+}
+
+double tauber_sutton_radiative(double rho_inf, double velocity,
+                               double nose_radius) {
+  CAT_REQUIRE(rho_inf > 0.0 && nose_radius > 0.0, "bad inputs");
+  // Tauber-Sutton: q_r = 4.736e4 R^a rho^1.22 f(V)  [W/cm^2 in CGS-mixed
+  // units]; f(V) tabulated — here a smooth fit rising steeply above
+  // ~9 km/s (the velocity range where air radiation turns on).
+  if (velocity < 9000.0) {
+    // Below the radiative threshold: negligible (smoothly off).
+    const double ramp = std::max(velocity - 6000.0, 0.0) / 3000.0;
+    return 1.0e4 * ramp * ramp * std::pow(rho_inf / 1e-4, 1.22) *
+           std::pow(nose_radius, 0.5);
+  }
+  const double fv = std::pow(velocity / 10000.0, 8.5);
+  const double a = 0.526;  // radius exponent (high-velocity branch)
+  return 4.736e8 * std::pow(nose_radius, a) * std::pow(rho_inf, 1.22) * fv;
 }
 
 }  // namespace cat::solvers::correlations

@@ -76,4 +76,39 @@ double detra_kemp_riddell_heating(const CorrelationConditions& c);
 double stagnation_heating(CorrelationKind kind,
                           const CorrelationConditions& c);
 
+/// --- closed-form building blocks ---------------------------------------
+/// Shared with the stagnation-line solver (velocity gradient) and the
+/// scenario runner's fast paths (radiative estimate).
+
+/// Fay-Riddell stagnation-point convective heating [W/m^2] for equilibrium
+/// boundary layers:
+///   q = 0.76 Pr^-0.6 (rho_e mu_e)^0.4 (rho_w mu_w)^0.1 sqrt(due/dx)
+///       (h0e - hw) [1 + (Le^0.52 - 1) hd/h0e]
+struct FayRiddellInputs {
+  double rho_e, mu_e;   ///< boundary-layer edge (post-shock stagnation)
+  double rho_w, mu_w;   ///< wall
+  double du_dx;         ///< stagnation velocity gradient [1/s]
+  double h0_e;          ///< edge total enthalpy [J/kg]
+  double h_w;           ///< wall enthalpy [J/kg]
+  double h_dissociation;///< dissociation enthalpy fraction carrier [J/kg]
+  double prandtl = 0.71;
+  double lewis = 1.4;
+};
+double fay_riddell(const FayRiddellInputs& in);
+
+/// Newtonian stagnation velocity gradient: du/dx = (1/R) sqrt(2(p_e-p_inf)/rho_e).
+double newtonian_velocity_gradient(double nose_radius, double p_e,
+                                   double p_inf, double rho_e);
+
+/// Sutton-Graves cold-wall convective stagnation heating [W/m^2]:
+/// q = k sqrt(rho/R) V^3 with k = 1.7415e-4 (Earth air, SI).
+double sutton_graves(double rho_inf, double velocity, double nose_radius,
+                     double k = 1.7415e-4);
+
+/// Tauber-Sutton stagnation radiative heating estimate [W/m^2] for Earth
+/// air: q_r = C R^a rho^b f(V); a simple era fit adequate for trajectory
+/// scoping (full spectral transport lives in cat::radiation).
+double tauber_sutton_radiative(double rho_inf, double velocity,
+                               double nose_radius);
+
 }  // namespace cat::solvers::correlations

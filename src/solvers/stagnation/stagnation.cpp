@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/heating.hpp"
 #include "gas/constants.hpp"
 #include "numerics/interp.hpp"
 #include "radiation/tangent_slab.hpp"
+#include "solvers/correlations/correlations.hpp"
 #include "solvers/vsl/vsl.hpp"
 #include "transport/transport.hpp"
 
@@ -215,7 +215,7 @@ StagnationSolution StagnationLineSolver::solve(
   shoot(fpp0, bigG0, &eta, &sol);
 
   // ---- dimensional reconstruction -------------------------------------
-  const double du_dx = core::newtonian_velocity_gradient(
+  const double du_dx = correlations::newtonian_velocity_gradient(
       c.nose_radius, edge.p_stag, c.p_inf, edge.rho_stag);
   // q_w = (rho mu)_w / Pr_w * sqrt(2 du_dx / (rho_e mu_e)) * h_e * g'(0)
   //     = G(0) * sqrt(2 du_dx rho_e mu_e) * h_e   (G = C/Pr g').

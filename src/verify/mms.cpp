@@ -24,10 +24,6 @@ std::array<double, 4> FvManufactured::primitive(double x, double y) const {
   return {r, u.v(x, y), v.v(x, y), p.v(x, y) / ((gamma - 1.0) * r)};
 }
 
-double FvManufactured::temperature(double x, double y) const {
-  return p.v(x, y) / (rho.v(x, y) * r_gas);
-}
-
 std::array<double, 4> FvManufactured::convective_flux_x(double x,
                                                         double y) const {
   const double r = rho.v(x, y), uu = u.v(x, y), vv = v.v(x, y),

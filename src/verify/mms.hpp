@@ -51,7 +51,6 @@ struct FvManufactured {
 
   /// Primitive state [rho, u, v, e] the solver reconstructs.
   std::array<double, 4> primitive(double x, double y) const;
-  double temperature(double x, double y) const;
 
   /// Exact convective fluxes (for the finite-difference self-check).
   std::array<double, 4> convective_flux_x(double x, double y) const;

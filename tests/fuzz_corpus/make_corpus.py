@@ -12,6 +12,9 @@ Every crash_* entry under fuzz_surrogate_load is a fails-on-pre-fix
 input: it reproduced an escaped std::invalid_argument or a multi-GB
 allocation attempt in SurrogateTable::load before the PR-10 hardening,
 and must now be rejected with cat::Error (the replay smokes pin this).
+The v1_* and valid_v1_* entries are records in the retired CATSURR1
+layout; the loader no longer reads that format, so they are rejection
+inputs too.
 """
 
 import os
@@ -55,7 +58,8 @@ def surr_v2(planet=0, gas=0, family=0, nose=0.3, wall=300.0, aoa=0.0,
 def surr_v1(planet=0, gas=0, nose=0.3, wall=300.0, base="seed_case",
             nv=2, na=2, vmin=1000.0, vmax=2000.0, amin=10000.0,
             amax=20000.0, node=1.0, bound=0.1, payload=True):
-    """A legacy CATSURR1 record (no family / angle-of-attack fields)."""
+    """A retired CATSURR1 record (no family / angle-of-attack fields),
+    which the loader must reject."""
     out = MAGIC_V1 + u64(planet) + u64(gas)
     out += f64(nose) + f64(wall) + wire_string(base)
     out += u64(nv) + u64(na)
@@ -79,7 +83,7 @@ def write(harness, name, data):
 def main():
     nan = float("nan")
 
-    # --- fuzz_surrogate_load: CATSURR1/2 records -------------------------
+    # --- fuzz_surrogate_load: CATSURR2 records (+ retired CATSURR1) ------
     write("fuzz_surrogate_load", "valid_v2_small", surr_v2())
     write("fuzz_surrogate_load", "valid_v2_3x4",
           surr_v2(nv=3, na=4, vmax=4000.0, amax=40000.0))

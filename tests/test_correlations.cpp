@@ -2,7 +2,9 @@
 // formulas must agree with each other (they fit the same physics), with
 // the closed-form Fay-Riddell edge chain, and with the high-fidelity
 // stagnation hierarchy on the registry's serving anchor — plus the
-// scenario-runner plumbing (Fidelity::kCorrelation end to end).
+// scenario-runner plumbing (Fidelity::kCorrelation end to end) and the
+// closed-form building blocks (Fay-Riddell, Sutton-Graves, Tauber-Sutton,
+// Newtonian velocity gradient).
 
 #include <gtest/gtest.h>
 
@@ -186,6 +188,43 @@ TEST(Correlations, TracksHighFidelityHierarchyOnServingAnchor) {
   EXPECT_NEAR(r.metric("q_conv"), q_hi, 0.25 * q_hi);
   EXPECT_GT(r.metric("correlation_spread"), 0.0);
   EXPECT_LT(r.metric("correlation_spread"), 0.5);
+}
+
+// ---------- closed-form building blocks ----------
+
+TEST(Heating, FayRiddellMagnitude) {
+  // Representative shuttle-entry inputs reproduce the tens-of-W/cm^2
+  // stagnation heating scale.
+  corr::FayRiddellInputs in;
+  in.rho_e = 2.3e-3;
+  in.mu_e = 1.6e-4;
+  in.rho_w = 1.5e-2;
+  in.mu_w = 5.0e-5;
+  in.du_dx = 1800.0;
+  in.h0_e = 2.2e7;
+  in.h_w = 1.2e6;
+  in.h_dissociation = 1.4e7;
+  const double q = corr::fay_riddell(in);
+  EXPECT_GT(q, 2e5);
+  EXPECT_LT(q, 1.5e6);
+}
+
+TEST(Heating, SuttonGravesScaling) {
+  const double q1 = corr::sutton_graves(1e-4, 7000.0, 1.0);
+  EXPECT_NEAR(corr::sutton_graves(4e-4, 7000.0, 1.0), 2.0 * q1, 1e-9 * q1);
+  EXPECT_NEAR(corr::sutton_graves(1e-4, 14000.0, 1.0), 8.0 * q1, 1e-6 * q1);
+  EXPECT_NEAR(corr::sutton_graves(1e-4, 7000.0, 4.0), 0.5 * q1, 1e-9 * q1);
+}
+
+TEST(Heating, TauberSuttonSteepVelocityDependence) {
+  const double q10 = corr::tauber_sutton_radiative(1e-4, 10000.0, 1.0);
+  const double q12 = corr::tauber_sutton_radiative(1e-4, 12000.0, 1.0);
+  EXPECT_GT(q12 / q10, 3.0);  // ~V^8.5
+}
+
+TEST(Heating, NewtonianGradient) {
+  const double dudx = corr::newtonian_velocity_gradient(1.0, 1e4, 10.0, 0.01);
+  EXPECT_NEAR(dudx, std::sqrt(2.0 * (1e4 - 10.0) / 0.01), 1e-9);
 }
 
 // ---------- scenario plumbing ----------

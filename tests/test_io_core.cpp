@@ -1,6 +1,5 @@
 // Tests for the io module (tables, CSV, contours, bounded binary
-// readers) and the core layer (gas models, heating correlations,
-// heating-pulse driver).
+// readers), the core gas models, and the heating-pulse driver.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +10,14 @@
 #include <limits>
 
 #include "atmosphere/atmosphere.hpp"
-#include "core/driver.hpp"
 #include "core/error.hpp"
-#include "gas/constants.hpp"
 #include "core/gas_model.hpp"
-#include "core/heating.hpp"
+#include "gas/constants.hpp"
 #include "io/binary.hpp"
 #include "io/contour.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "scenario/pulse.hpp"
 
 namespace {
 
@@ -232,41 +230,6 @@ TEST(GasModel, EquilibriumModelSoftensGamma) {
   EXPECT_GT(m->sound_speed(rho, e), 500.0);
 }
 
-TEST(Heating, FayRiddellMagnitude) {
-  // Representative shuttle-entry inputs reproduce the tens-of-W/cm^2
-  // stagnation heating scale.
-  core::FayRiddellInputs in;
-  in.rho_e = 2.3e-3;
-  in.mu_e = 1.6e-4;
-  in.rho_w = 1.5e-2;
-  in.mu_w = 5.0e-5;
-  in.du_dx = 1800.0;
-  in.h0_e = 2.2e7;
-  in.h_w = 1.2e6;
-  in.h_dissociation = 1.4e7;
-  const double q = core::fay_riddell(in);
-  EXPECT_GT(q, 2e5);
-  EXPECT_LT(q, 1.5e6);
-}
-
-TEST(Heating, SuttonGravesScaling) {
-  const double q1 = core::sutton_graves(1e-4, 7000.0, 1.0);
-  EXPECT_NEAR(core::sutton_graves(4e-4, 7000.0, 1.0), 2.0 * q1, 1e-9 * q1);
-  EXPECT_NEAR(core::sutton_graves(1e-4, 14000.0, 1.0), 8.0 * q1, 1e-6 * q1);
-  EXPECT_NEAR(core::sutton_graves(1e-4, 7000.0, 4.0), 0.5 * q1, 1e-9 * q1);
-}
-
-TEST(Heating, TauberSuttonSteepVelocityDependence) {
-  const double q10 = core::tauber_sutton_radiative(1e-4, 10000.0, 1.0);
-  const double q12 = core::tauber_sutton_radiative(1e-4, 12000.0, 1.0);
-  EXPECT_GT(q12 / q10, 3.0);  // ~V^8.5
-}
-
-TEST(Heating, NewtonianGradient) {
-  const double dudx = core::newtonian_velocity_gradient(1.0, 1e4, 10.0, 0.01);
-  EXPECT_NEAR(dudx, std::sqrt(2.0 * (1e4 - 10.0) / 0.01), 1e-9);
-}
-
 TEST(Driver, HeatingPulseShape) {
   gas::EquilibriumSolver eq(gas::make_air5(), {{"N2", 0.79}, {"O2", 0.21}});
   solvers::StagnationOptions sopt;
@@ -278,17 +241,19 @@ TEST(Driver, HeatingPulseShape) {
   const auto traj = trajectory::integrate_entry(
       probe, {9000.0, -6.0 * M_PI / 180.0, 115000.0}, atmo,
       gas::constants::kEarthRadius, gas::constants::kEarthG0);
-  core::HeatingPulseOptions hopt;
-  hopt.max_points = 14;
-  const auto pulse = core::heating_pulse(traj, probe, stag, hopt);
-  ASSERT_GT(pulse.size(), 5u);
+  scenario::PulseOptions popt;
+  popt.max_points = 14;
+  popt.threads = 1;
+  const auto pulse = scenario::heating_pulse(traj, probe, stag, popt);
+  const auto& points = pulse.points;
+  ASSERT_GT(points.size(), 5u);
   // The pulse rises then falls: peak strictly inside.
   std::size_t k_peak = 0;
-  for (std::size_t k = 0; k < pulse.size(); ++k)
-    if (pulse[k].q_conv > pulse[k_peak].q_conv) k_peak = k;
+  for (std::size_t k = 0; k < points.size(); ++k)
+    if (points[k].q_conv > points[k_peak].q_conv) k_peak = k;
   EXPECT_GT(k_peak, 0u);
-  EXPECT_LT(k_peak, pulse.size() - 1);
-  EXPECT_GT(core::heat_load(pulse), 0.0);
+  EXPECT_LT(k_peak, points.size() - 1);
+  EXPECT_GT(pulse.heat_load(), 0.0);
 }
 
 }  // namespace

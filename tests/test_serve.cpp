@@ -341,6 +341,8 @@ TEST(Serve, ShutdownRejectsNewComputeButStillServesCache) {
   const auto rejected = server.serve(fresh);
   EXPECT_FALSE(rejected.ok);
   EXPECT_NE(rejected.error.find("shutting down"), std::string::npos);
+  // The refusal is an error reply, so it is counted as one.
+  EXPECT_EQ(server.stats().errors, 1u);
 }
 
 TEST(Serve, FailedComputeIsAReplyNotAnExceptionAndIsNotCached) {

@@ -10,10 +10,10 @@
 #include "atmosphere/atmosphere.hpp"
 #include "chemistry/reaction.hpp"
 #include "core/error.hpp"
-#include "core/heating.hpp"
 #include "gas/eos_table.hpp"
 #include "geometry/body.hpp"
 #include "solvers/bl/boundary_layer.hpp"
+#include "solvers/correlations/correlations.hpp"
 #include "solvers/euler/euler.hpp"
 #include "solvers/pns/pns.hpp"
 #include "solvers/relax1d/relax1d.hpp"
@@ -219,8 +219,8 @@ TEST(Stagnation, MatchesFayRiddellWithinThirtyPercent) {
   solvers::StagnationConditions c{6700.0, a.density, a.pressure,
                                   a.temperature, 1.3, 1400.0};
   const auto sol = solver.solve(c);
-  const double q_sg = core::sutton_graves(c.rho_inf, c.velocity,
-                                          c.nose_radius);
+  const double q_sg = solvers::correlations::sutton_graves(
+      c.rho_inf, c.velocity, c.nose_radius);
   EXPECT_NEAR(sol.q_conv, q_sg, 0.3 * q_sg);
   EXPECT_GT(sol.edge.t2, 5000.0);
   EXPECT_LT(sol.edge.t2, 7000.0);

@@ -294,45 +294,6 @@ TEST(Surrogate, RegistryRejectsWrongShapeAndSolverFamily) {
   EXPECT_EQ(scenario::find_surrogate(banked), nullptr);
 }
 
-TEST(Surrogate, LegacyV1RecordLoadsWithStagnationIdentity) {
-  // v1 (CATSURR1) records predate the family/attitude identity fields.
-  // They must keep loading — the committed anchor table is one — and they
-  // carry the identity every v1 builder produced: kStagnationPoint at
-  // zero angle of attack.
-  const std::string path = "surrogate_legacy_v1_test.bin";
-  {
-    io::BinaryWriter w(path);
-    w.write_magic("CATSURR1");
-    w.write_u64(0);  // Planet::kEarth
-    w.write_u64(0);  // GasModelKind::kAir5
-    w.write_f64(0.3);
-    w.write_f64(1000.0);
-    w.write_string("legacy_table");
-    w.write_u64(2);  // n_velocity
-    w.write_u64(2);  // n_altitude
-    w.write_f64(3000.0);
-    w.write_f64(7500.0);
-    w.write_f64(45000.0);
-    w.write_f64(75000.0);
-    for (std::size_t ch = 0; ch < scenario::SurrogateTable::kNChannels;
-         ++ch) {
-      for (int node = 0; node < 4; ++node)
-        w.write_f64(static_cast<double>(ch + 1) * 10.0);
-      w.write_f64(0.5);  // the single cell's bound
-    }
-    w.close();
-  }
-  const auto loaded = scenario::SurrogateTable::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.meta().base_case, "legacy_table");
-  EXPECT_EQ(loaded.meta().family,
-            scenario::SolverFamily::kStagnationPoint);
-  EXPECT_EQ(loaded.meta().angle_of_attack_rad, 0.0);
-  const auto a = loaded.query(5000.0, 60000.0);
-  EXPECT_DOUBLE_EQ(a.q_conv_W_m2, 10.0);
-  EXPECT_DOUBLE_EQ(a.q_conv_err_W_m2, 0.5);
-}
-
 // ---------- corrupt records (hermetic, MemoryWriter + load_memory) -----
 
 // Field-by-field v2 record builder: the default spec is a VALID minimal
@@ -376,7 +337,8 @@ struct V2RecordSpec {
   }
 };
 
-// Same for the legacy CATSURR1 layout (no family/attitude fields).
+// The retired CATSURR1 layout (no family/attitude fields): every record
+// in it, well-formed or not, must now be refused.
 struct V1RecordSpec {
   std::uint64_t planet = 0, gas = 0;
   double nose_radius = 0.3, wall_temp = 1000.0;
@@ -544,11 +506,23 @@ TEST(Surrogate, TruncatedV2RecordRejectedAtEveryCut) {
   }
 }
 
+TEST(Surrogate, LegacyV1RecordRejectedAsBadMagic) {
+  // CATSURR1 is no longer a format: even a well-formed v1 record is
+  // refused at the magic, with cat::Error.
+  try {
+    load_mem(V1RecordSpec{}.bytes());
+    FAIL() << "a CATSURR1 record was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Surrogate, CorruptV1RecordsThrowErrorOnly) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
-  // The degenerate-grid regression must hold on the legacy path too:
-  // v1 records share the dimension checks with v2.
+  // Corrupt v1 records stay rejection inputs: whatever the damage, the
+  // loader answers with cat::Error only.
   {
     V1RecordSpec s;
     s.nv = 0;
@@ -582,9 +556,6 @@ TEST(Surrogate, CorruptV1RecordsThrowErrorOnly) {
     expect_rejected(full.substr(0, full.size() / 2),
                     "v1 truncated payload");
   }
-  // And the valid default still loads, so the rejections above are real.
-  const auto t = load_mem(V1RecordSpec{}.bytes());
-  EXPECT_EQ(t.meta().family, scenario::SolverFamily::kStagnationPoint);
 }
 
 TEST(Surrogate, LoadMemoryMatchesFileLoad) {
@@ -608,6 +579,49 @@ TEST(Surrogate, LoadMemoryMatchesFileLoad) {
   const auto b = from_mem.query(5200.0, 61000.0);
   EXPECT_EQ(a.q_conv_W_m2, b.q_conv_W_m2);
   EXPECT_EQ(a.t_stag_err_K, b.t_stag_err_K);
+}
+
+// ---------- the committed serving artifact ----------
+
+TEST(Surrogate, CommittedTableIsV2WithStagnationIdentity) {
+  const std::string path =
+      std::string(CAT_DATA_DIR) + "/shuttle_stag_point.surrogate.bin";
+  {
+    std::ifstream f(path, std::ios::binary);
+    std::string magic(8, '\0');
+    f.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+    EXPECT_EQ(magic, "CATSURR2");
+  }
+  const auto t = scenario::SurrogateTable::load(path);
+  EXPECT_EQ(t.meta().family, scenario::SolverFamily::kStagnationPoint);
+  EXPECT_EQ(t.meta().angle_of_attack_rad, 0.0);
+  EXPECT_EQ(t.meta().base_case, "shuttle_stag_point");
+  EXPECT_EQ(t.domain().n_velocity, 7u);
+  EXPECT_EQ(t.domain().n_altitude, 7u);
+
+  // Answers of the same table in its earlier CATSURR1 encoding: the
+  // re-encoding changed the identity block only, so they match bit for bit.
+  struct Pin {
+    double v, alt, q_conv, q_conv_err, q_rad, t_stag, p_stag;
+  };
+  constexpr Pin kPins[] = {
+      {6000.0, 62000.0, 0x1.ead1ce54af5dfp+18, 0x1.d84435bba8913p+14,
+       0x1.f79b3880f3c98p+8, 0x1.61d228ada124ap+12, 0x1.fa830824bfd3p+12},
+      {3000.0, 45000.0, 0x1.0cef04d0feca7p+17, 0x1.95446b1cffe9ep+14,
+       0x1.1dca1525c260ep+1, 0x1.7b5e68ac10c8fp+11, 0x1.f75a9ba30d87bp+13},
+      {7500.0, 75000.0, 0x1.7a8b4d8baf4eep+18, 0x1.5949e38f62c03p+14,
+       0x1.0c025bdbcc00cp+5, 0x1.6f5ede7b2a49bp+12, 0x1.dd6f586a25996p+10},
+      {4321.5, 51234.5, 0x1.514496410fd92p+18, 0x1.136a7340d8f2bp+15,
+       0x1.e51a0cd68dcebp+8, 0x1.196a51919d819p+12, 0x1.e88011da5d79ep+13},
+  };
+  for (const auto& p : kPins) {
+    const auto a = t.query(p.v, p.alt);
+    EXPECT_EQ(a.q_conv_W_m2, p.q_conv) << p.v << " " << p.alt;
+    EXPECT_EQ(a.q_conv_err_W_m2, p.q_conv_err) << p.v << " " << p.alt;
+    EXPECT_EQ(a.q_rad_W_m2, p.q_rad) << p.v << " " << p.alt;
+    EXPECT_EQ(a.t_stag_K, p.t_stag) << p.v << " " << p.alt;
+    EXPECT_EQ(a.p_stag_Pa, p.p_stag) << p.v << " " << p.alt;
+  }
 }
 
 // ---------- against the real hierarchy ----------

@@ -1,6 +1,6 @@
 // Quickstart: drive CAT through the scenario engine in ~40 lines.
 //  1. Pick a named scenario from the registry (or build a Case by hand).
-//  2. run_case() executes it behind the uniform Runner interface.
+//  2. run_case() executes it through its solver family's dispatch.
 //  3. Read the results: a table of the primary series + headline metrics.
 //
 // Build & run:  ./build/examples/example_quickstart

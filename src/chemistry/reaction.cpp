@@ -286,11 +286,6 @@ void Mechanism::production_rates(std::span<const double> c, double t,
   }
 }
 
-void Mechanism::production_rates(std::span<const double> c, double t,
-                                 double tv, std::span<double> wdot) const {
-  production_rates(c, t, tv, wdot, tls_workspace());
-}
-
 void Mechanism::mass_production_rates(double rho, std::span<const double> y,
                                       double t, double tv,
                                       std::span<double> wdot_mass,

@@ -94,8 +94,6 @@ class Mechanism {
   /// coefficients and Gibbs energies memoized by temperature in \p ws.
   void production_rates(std::span<const double> c, double t, double tv,
                         std::span<double> wdot, Workspace& ws) const;
-  void production_rates(std::span<const double> c, double t, double tv,
-                        std::span<double> wdot) const;
 
   /// Mass production rates [kg/(m^3 s)] from mass state (rho, y). The
   /// workspace form leaves the molar rates in ws.wdot_mole for reuse (e.g.

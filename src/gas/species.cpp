@@ -222,11 +222,6 @@ std::size_t SpeciesDatabase::index(std::string_view name) const {
   throw std::invalid_argument("unknown species: " + std::string(name));
 }
 
-bool SpeciesDatabase::contains(std::string_view name) const {
-  return std::any_of(species_.begin(), species_.end(),
-                     [&](const Species& s) { return s.name == name; });
-}
-
 std::size_t SpeciesSet::local_index(std::string_view name) const {
   for (std::size_t i = 0; i < names.size(); ++i)
     if (names[i] == name) return i;

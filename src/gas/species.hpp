@@ -88,7 +88,6 @@ class SpeciesDatabase {
   const Species& find(std::string_view name) const {
     return species_[index(name)];
   }
-  bool contains(std::string_view name) const;
 
   std::span<const Species> all() const { return species_; }
 

@@ -21,18 +21,8 @@ void Matrix::axpy(double s, const Matrix& other) {
   for (std::size_t k = 0; k < data_.size(); ++k) data_[k] += s * other.data_[k];
 }
 
-Matrix& Matrix::operator+=(const Matrix& o) {
-  axpy(1.0, o);
-  return *this;
-}
-
 Matrix& Matrix::operator-=(const Matrix& o) {
   axpy(-1.0, o);
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) v *= s;
   return *this;
 }
 

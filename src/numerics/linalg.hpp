@@ -40,14 +40,8 @@ class Matrix {
   /// In-place scaled addition: *this += s * other. Shapes must match.
   void axpy(double s, const Matrix& other);
 
-  Matrix& operator+=(const Matrix& o);
   Matrix& operator-=(const Matrix& o);
-  Matrix& operator*=(double s);
-
-  friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
   friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-  friend Matrix operator*(Matrix a, double s) { return a *= s; }
-  friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
   /// Dense matrix product (shapes checked).
   friend Matrix operator*(const Matrix& a, const Matrix& b);

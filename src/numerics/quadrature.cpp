@@ -16,15 +16,6 @@ double trapz(std::span<const double> x, std::span<const double> y) {
   return acc;
 }
 
-double trapz(const std::function<double(double)>& f, double a, double b,
-             std::size_t n) {
-  CAT_REQUIRE(n > 0, "trapz needs n > 0");
-  const double h = (b - a) / static_cast<double>(n);
-  double acc = 0.5 * (f(a) + f(b));
-  for (std::size_t i = 1; i < n; ++i) acc += f(a + h * static_cast<double>(i));
-  return acc * h;
-}
-
 double simpson(const std::function<double(double)>& f, double a, double b,
                std::size_t n) {
   CAT_REQUIRE(n > 0, "simpson needs n > 0");

@@ -13,10 +13,6 @@ namespace cat::numerics {
 /// Composite trapezoid on sampled data (x strictly increasing).
 double trapz(std::span<const double> x, std::span<const double> y);
 
-/// Composite trapezoid of f on [a,b] with n uniform intervals.
-double trapz(const std::function<double(double)>& f, double a, double b,
-             std::size_t n);
-
 /// Composite Simpson of f on [a,b] with n uniform intervals (n rounded up
 /// to even).
 double simpson(const std::function<double(double)>& f, double a, double b,

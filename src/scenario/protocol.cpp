@@ -134,19 +134,10 @@ std::string handle_query(Server& server,
         return error_reply("bad alt='" + val +
                            "' (finite m in [-500, 1e6])");
     } else if (key == "tier") {
-      if (val == "surrogate") {
-        c.fidelity = Fidelity::kSurrogate;
-      } else if (val == "correlation") {
-        c.fidelity = Fidelity::kCorrelation;
-      } else if (val == "smoke") {
-        c.fidelity = Fidelity::kSmoke;
-      } else if (val == "nominal") {
-        c.fidelity = Fidelity::kNominal;
-      } else {
+      if (!parse_fidelity(val, &c.fidelity))
         return error_reply(
             "bad tier='" + val +
             "' (surrogate | correlation | smoke | nominal)");
-      }
     } else {
       return error_reply("unknown query option '" + key +
                          "' (v | alt | tier)");

@@ -1,10 +1,9 @@
 #pragma once
 /// \file runner.hpp
-/// Runner adapters: one uniform run(const Case&) -> CaseResult interface
-/// over every solver family (stagnation line, VSL/PNS marching, E+BL,
-/// finite-volume Euler/NS, relax1d, trajectory analysis). run_case() is
-/// the single entry point the CLI, the batch driver, the examples and the
-/// benches all drive.
+/// run_case(): the single entry point that executes a Case through its
+/// solver family (stagnation line, VSL/PNS marching, E+BL, finite-volume
+/// Euler/NS, relax1d, trajectory analysis) or a tier-0 fidelity preset.
+/// The CLI, the batch driver, the examples and the benches all drive it.
 
 #include "scenario/scenario.hpp"
 
@@ -15,21 +14,8 @@ struct RunOptions {
   std::size_t threads = 1;  ///< worker threads (0 = hardware concurrency)
 };
 
-/// Adapter putting one solver family behind the common interface.
-class Runner {
- public:
-  virtual ~Runner() = default;
-  virtual SolverFamily family() const = 0;
-  /// Execute the case. Implementations must be const and reentrant: the
-  /// batch driver calls run() concurrently from pool workers.
-  virtual CaseResult run(const Case& c, const RunOptions& opt) const = 0;
-};
-
-/// The adapter for a family (static registry; never null — every family
-/// has a runner, enforced by the scenario test suite).
-const Runner& runner_for(SolverFamily family);
-
-/// Run one case through its family's runner.
+/// Run one case. Reentrant: the batch driver calls it concurrently from
+/// pool workers.
 CaseResult run_case(const Case& c, const RunOptions& opt = {});
 
 }  // namespace cat::scenario

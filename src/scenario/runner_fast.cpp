@@ -1,9 +1,9 @@
-// Tier-0 runners: the fidelity presets that bypass the solver-family
+// Tier-0 bodies: the fidelity presets that bypass the solver-family
 // dispatch. kCorrelation evaluates the engineering correlation family
 // straight from the freestream (~us); kSurrogate answers from a
 // registered precomputed table (~ns) with the stored error bar attached.
-// Both serve the same CaseResult contract as the full hierarchy so the
-// CLI, batch driver and (future) cat_serve treat every tier uniformly.
+// Both fill the same CaseResult as the full hierarchy, so the CLI, the
+// batch driver and cat_serve treat every tier uniformly.
 
 #include <algorithm>
 #include <cmath>
@@ -35,8 +35,7 @@ correlations_ns::CorrelationConditions correlation_conditions(
 
 }  // namespace
 
-CaseResult run_correlation_case(const Case& c) {
-  const auto t0 = Clock::now();
+void run_correlation(const Case& c, const RunOptions&, CaseResult& r) {
   CAT_REQUIRE(c.condition.velocity_mps > 0.0,
               "Fidelity::kCorrelation needs a point flight condition "
               "(condition.velocity_mps > 0)");
@@ -44,9 +43,6 @@ CaseResult run_correlation_case(const Case& c) {
   const auto cc = correlation_conditions(c, planet);
   const auto edge = correlations_ns::estimate_edge(cc);
 
-  CaseResult r = make_result(c);
-  r.solver = "correlation";
-  r.table = io::Table(c.title.empty() ? c.name : c.title);
   r.table.set_columns({"correlation_id", "q_w_W_m2"});
 
   double q_min = 0.0, q_max = 0.0, q_sum = 0.0;
@@ -78,12 +74,9 @@ CaseResult run_correlation_case(const Case& c) {
                 q_mean > 0.0 ? (q_max - q_min) / q_mean : 0.0, "-"},
                {"t_stag", edge.t_stag_K, "K"},
                {"p_stag", edge.p_stag_Pa, "Pa"}};
-  r.elapsed_seconds = seconds_since(t0);
-  return r;
 }
 
-CaseResult run_surrogate_case(const Case& c) {
-  const auto t0 = Clock::now();
+void run_surrogate(const Case& c, const RunOptions&, CaseResult& r) {
   CAT_REQUIRE(c.condition.velocity_mps > 0.0,
               "Fidelity::kSurrogate needs a point flight condition "
               "(condition.velocity_mps > 0)");
@@ -97,9 +90,6 @@ CaseResult run_surrogate_case(const Case& c) {
   const auto a =
       table->query(c.condition.velocity_mps, c.condition.altitude_m);
 
-  CaseResult r = make_result(c);
-  r.solver = "surrogate";
-  r.table = io::Table(c.title.empty() ? c.name : c.title);
   r.table.set_columns({"v_mps", "alt_m", "q_conv_W_m2", "q_conv_err_W_m2"});
   r.table.add_row({c.condition.velocity_mps, c.condition.altitude_m,
                    a.q_conv_W_m2, a.q_conv_err_W_m2});
@@ -111,8 +101,6 @@ CaseResult run_surrogate_case(const Case& c) {
                {"t_stag_err", a.t_stag_err_K, "K"},
                {"p_stag", a.p_stag_Pa, "Pa"},
                {"p_stag_err", a.p_stag_err_Pa, "Pa"}};
-  r.elapsed_seconds = seconds_since(t0);
-  return r;
 }
 
 }  // namespace cat::scenario::detail

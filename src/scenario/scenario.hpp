@@ -3,14 +3,15 @@
 /// The scenario engine's case-description layer: a Case names everything
 /// the paper's CAT pipeline combines — vehicle, entry state or flight
 /// condition, planet/atmosphere, gas model, solver family and fidelity —
-/// without binding to any one solver. Runner adapters (runner.hpp) put
-/// each solver family behind run(const Case&) -> CaseResult, the named
+/// without binding to any one solver. run_case() (runner.hpp) executes a
+/// Case through its solver family and returns a CaseResult, the named
 /// registry (registry.hpp) holds the curated scenario catalog, and the
 /// batch driver (batch.hpp) executes case sets across a thread pool.
 
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "atmosphere/atmosphere.hpp"
@@ -46,7 +47,7 @@ enum class SolverFamily {
   kShockTubeRelaxation,  ///< 1-D two-temperature post-shock relaxation
 };
 
-/// Resolution/cost preset; runners map it to grid sizes, table
+/// Resolution/cost preset; family bodies map it to grid sizes, table
 /// resolutions and iteration budgets. The two tier-0 presets below bypass
 /// the solver-family dispatch entirely: kCorrelation answers from the
 /// engineering correlation family (~us) and kSurrogate from a registered
@@ -142,5 +143,8 @@ const char* to_string(SolverFamily family);
 const char* to_string(Planet planet);
 const char* to_string(GasModelKind kind);
 const char* to_string(Fidelity fidelity);
+/// Exact inverse of to_string(Fidelity): sets *out and returns true for
+/// one of its four names; returns false and leaves *out alone otherwise.
+bool parse_fidelity(std::string_view name, Fidelity* out);
 
 }  // namespace cat::scenario

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -416,7 +417,7 @@ TEST(PulseGolden, TitanReferencePulsePinned) {
   EXPECT_NEAR(pulse.heat_load(), heat_load_ref, 1e-6 * heat_load_ref);
 }
 
-// ---------- registry + runner dispatch ----------
+// ---------- registry + fidelity names ----------
 
 TEST(Registry, CatalogIsComplete) {
   const auto& reg = scenario::registry();
@@ -433,16 +434,24 @@ TEST(Registry, CatalogIsComplete) {
   EXPECT_EQ(scenario::scenario_names().size(), reg.size());
 }
 
+TEST(Registry, ParseFidelityInvertsToString) {
+  for (const auto f :
+       {scenario::Fidelity::kSmoke, scenario::Fidelity::kNominal,
+        scenario::Fidelity::kCorrelation, scenario::Fidelity::kSurrogate}) {
+    scenario::Fidelity parsed = scenario::Fidelity::kSmoke;
+    EXPECT_TRUE(scenario::parse_fidelity(scenario::to_string(f), &parsed));
+    EXPECT_EQ(parsed, f) << scenario::to_string(f);
+  }
+  scenario::Fidelity untouched = scenario::Fidelity::kNominal;
+  for (const char* bad : {"", "Smoke", "fast"}) {
+    EXPECT_FALSE(scenario::parse_fidelity(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched, scenario::Fidelity::kNominal) << bad;
+  }
+}
+
 TEST(Registry, FindScenario) {
   EXPECT_NE(scenario::find_scenario("titan_probe_pulse"), nullptr);
   EXPECT_EQ(scenario::find_scenario("not_a_scenario"), nullptr);
-}
-
-TEST(Registry, EveryFamilyHasARunnerOfThatFamily) {
-  for (const auto& c : scenario::registry()) {
-    const auto& runner = scenario::runner_for(c.family);
-    EXPECT_EQ(runner.family(), c.family) << c.name;
-  }
 }
 
 TEST(Registry, EntryAngleSweepNamesAndAngles) {
@@ -468,6 +477,45 @@ TEST(RunCase, TrajectoryDomainProducesFlightEnvelope) {
   EXPECT_GT(r.metric("max_mach"), 5.0);
   EXPECT_GT(r.metric("max_reynolds"), 1e4);
   EXPECT_THROW((void)r.metric("no_such_metric"), std::invalid_argument);
+}
+
+TEST(RunCase, ResultIdentityIsStampedOnce) {
+  // run_case stamps case_name, the solver label, the titled table and the
+  // elapsed time for every family body and both tier-0 presets alike.
+  const auto* traj = scenario::find_scenario("tav_flight_domain");
+  const auto* stag = scenario::find_scenario("shuttle_stag_point");
+  ASSERT_NE(traj, nullptr);
+  ASSERT_NE(stag, nullptr);
+  scenario::Case smoke = *stag;
+  smoke.fidelity = scenario::Fidelity::kSmoke;
+  scenario::Case corr = *stag;
+  corr.fidelity = scenario::Fidelity::kCorrelation;
+  const std::pair<scenario::Case, std::string> runs[] = {
+      {*traj, "trajectory-domain"},
+      {smoke, "stagnation-point"},
+      {corr, "correlation"}};
+  for (const auto& [c, solver] : runs) {
+    const auto r = scenario::run_case(c);
+    EXPECT_EQ(r.case_name, c.name);
+    EXPECT_EQ(r.solver, solver) << c.name;
+    EXPECT_EQ(r.table.title(), c.title) << c.name;
+    EXPECT_GT(r.elapsed_seconds, 0.0) << c.name;
+  }
+}
+
+TEST(RunCase, FiniteRateFieldRejectsNonAirGas) {
+  // Finite-rate FV cases carry the Park air mechanism matching the case
+  // gas; a gas with no air mechanism must be refused, not run as air5.
+  const auto* base = scenario::find_scenario("hemisphere_fv_neq_air5");
+  ASSERT_NE(base, nullptr);
+  ASSERT_TRUE(base->finite_rate);
+  for (const auto gas : {scenario::GasModelKind::kIdealGamma,
+                         scenario::GasModelKind::kTitan}) {
+    scenario::Case c = *base;
+    c.gas = gas;
+    EXPECT_THROW((void)scenario::run_case(c), std::invalid_argument)
+        << scenario::to_string(gas);
+  }
 }
 
 TEST(RunCase, EulerBlMarchHeatsAndDecays) {

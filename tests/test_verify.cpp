@@ -259,7 +259,7 @@ TEST(verify_order, stiff_backward_euler_first_order) {
 }
 
 TEST(verify_order, scenario_ladder_reports_convergent_heating) {
-  // Solution verification through the scenario::Runner layer: the VSL
+  // Solution verification through scenario::run_case: the VSL
   // station ladder must behave like a convergent sequence (shrinking
   // functional increments), even though no exact solution gates it.
   const verify::StudyResult r = verify::run_study("vsl_station_ladder");

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,7 +112,8 @@ int compare_fidelity(const scenario::Case& base, std::size_t threads) {
   scenario::RunOptions ropt;
   ropt.threads = threads;
 
-  auto run_tier = [&](scenario::Fidelity f, const char* label) {
+  auto run_tier = [&](scenario::Fidelity f) {
+    const char* label = scenario::to_string(f);
     scenario::Case c = base;
     c.fidelity = f;
     try {
@@ -120,11 +122,11 @@ int compare_fidelity(const scenario::Case& base, std::size_t threads) {
       std::printf("%-12s (skipped: %s)\n", label, err.what());
     }
   };
-  run_tier(scenario::Fidelity::kNominal, "nominal");
-  run_tier(scenario::Fidelity::kSmoke, "smoke");
-  run_tier(scenario::Fidelity::kCorrelation, "correlation");
+  run_tier(scenario::Fidelity::kNominal);
+  run_tier(scenario::Fidelity::kSmoke);
+  run_tier(scenario::Fidelity::kCorrelation);
   if (scenario::find_surrogate(base) != nullptr)
-    run_tier(scenario::Fidelity::kSurrogate, "surrogate");
+    run_tier(scenario::Fidelity::kSurrogate);
   else
     std::printf("surrogate    (skipped: no registered table covers '%s')\n",
                 base.name.c_str());
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
   std::string target, csv_dir, json_dir, sweep_gamma, table_path;
   std::size_t threads = 1;
   bool all = false, quiet = false, list = false, compare = false;
-  const char* fidelity = nullptr;
+  std::optional<scenario::Fidelity> fidelity;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -221,13 +223,12 @@ int main(int argc, char** argv) {
       threads = tools::parse_threads_arg(value("--threads"));
     } else if (matches("--fidelity")) {
       const std::string f = value("--fidelity");
-      for (const char* known : {"smoke", "nominal", "correlation",
-                                "surrogate"})
-        if (f == known) fidelity = known;
-      if (fidelity == nullptr) {
+      scenario::Fidelity parsed{};
+      if (!scenario::parse_fidelity(f, &parsed)) {
         std::fprintf(stderr, "error: unknown fidelity '%s'\n", f.c_str());
         return 1;
       }
+      fidelity = parsed;
     } else if (matches("--table")) {
       table_path = value("--table");
     } else if (arg == "--compare-fidelity") {
@@ -293,16 +294,7 @@ int main(int argc, char** argv) {
   }
 
   auto apply_fidelity = [&](scenario::Case c) {
-    if (fidelity != nullptr) {
-      if (std::strcmp(fidelity, "smoke") == 0)
-        c.fidelity = scenario::Fidelity::kSmoke;
-      else if (std::strcmp(fidelity, "nominal") == 0)
-        c.fidelity = scenario::Fidelity::kNominal;
-      else if (std::strcmp(fidelity, "correlation") == 0)
-        c.fidelity = scenario::Fidelity::kCorrelation;
-      else
-        c.fidelity = scenario::Fidelity::kSurrogate;
-    }
+    if (fidelity) c.fidelity = *fidelity;
     return c;
   };
 

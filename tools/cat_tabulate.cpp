@@ -110,12 +110,10 @@ int main(int argc, char** argv) {
     } else if (matches("--threads")) {
       threads = tools::parse_threads_arg(value("--threads"));
     } else if (matches("--fidelity")) {
-      const std::string f = value("--fidelity");
-      if (f == "smoke") {
-        opt.truth_fidelity = scenario::Fidelity::kSmoke;
-      } else if (f == "nominal") {
-        opt.truth_fidelity = scenario::Fidelity::kNominal;
-      } else {
+      if (!scenario::parse_fidelity(value("--fidelity"),
+                                    &opt.truth_fidelity) ||
+          (opt.truth_fidelity != scenario::Fidelity::kSmoke &&
+           opt.truth_fidelity != scenario::Fidelity::kNominal)) {
         std::fprintf(stderr, "error: truth fidelity must be smoke|nominal\n");
         return 1;
       }

@@ -19,6 +19,12 @@ const gas::EquilibriumSolver& solver() {
   return s;
 }
 
+const gas::EquilibriumSolver& titan_solver() {
+  static const gas::EquilibriumSolver s(gas::make_titan(),
+                                        {{"N2", 0.95}, {"CH4", 0.05}});
+  return s;
+}
+
 const gas::EquilibriumEosTable& table() {
   static const gas::EquilibriumEosTable t(solver(),
                                           {.rho_min = 1e-4,
@@ -36,8 +42,31 @@ void direct_gibbs_tp(benchmark::State& state) {
   for (auto _ : state) {
     const auto r = eq.solve_tp(t, 1.0e4);
     benchmark::DoNotOptimize(r.rho);
-    t = t < 9000.0 ? t + 13.0 : 5000.0;  // defeat warm-start caching
+    // Walk the state so the loop averages over compositions rather than
+    // timing one (every call is an independent cold solve).
+    t = t < 9000.0 ? t + 13.0 : 5000.0;
   }
+}
+
+// The stagnation-line query: one (p, h) inversion is a Brent search over
+// temperature, each trial a Gibbs minimization. Enthalpies span the shock
+// layer of a 5-8 km/s entry.
+void run_gibbs_ph(benchmark::State& state, const gas::EquilibriumSolver& eq,
+                  double p) {
+  double h = 2e6;
+  for (auto _ : state) {
+    const auto r = eq.solve_ph(p, h);
+    benchmark::DoNotOptimize(r.t);
+    h = h < 3e7 ? h + 7e5 : 2e6;
+  }
+}
+
+void direct_gibbs_ph(benchmark::State& state) {
+  run_gibbs_ph(state, solver(), 5.0e3);
+}
+
+void direct_gibbs_ph_titan(benchmark::State& state) {
+  run_gibbs_ph(state, titan_solver(), 5.0e3);
 }
 
 void direct_gibbs_rho_e(benchmark::State& state) {
@@ -65,4 +94,6 @@ void table_lookup(benchmark::State& state) {
 
 BENCHMARK(direct_gibbs_tp);
 BENCHMARK(direct_gibbs_rho_e);
+BENCHMARK(direct_gibbs_ph);
+BENCHMARK(direct_gibbs_ph_titan);
 BENCHMARK(table_lookup);

@@ -84,6 +84,7 @@ DEFAULT_ALLOC_FREE_TUS = [
     "src/chemistry/mechanism.cpp",
     "src/chemistry/source.cpp",
     "src/chemistry/workspace.hpp",
+    "src/gas/equilibrium.cpp",
     "src/gas/thermo.cpp",
     "src/gas/thermo_batch.cpp",
     "src/gas/two_temperature.cpp",

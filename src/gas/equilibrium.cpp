@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "core/error.hpp"
 #include "gas/constants.hpp"
@@ -13,9 +14,9 @@ namespace cat::gas {
 
 using constants::kPressureRef;
 using constants::kRu;
-using numerics::LuFactor;
 using numerics::Matrix;
 
+// cat-lint: allow-alloc(construction: binds the species data once)
 EquilibriumSolver::EquilibriumSolver(SpeciesSet set,
                                      std::array<double, kNumElements> b)
     : mix_(std::move(set)), b_(b) {
@@ -46,6 +47,12 @@ EquilibriumSolver::EquilibriumSolver(SpeciesSet set,
     }
   }
   CAT_REQUIRE(!active_elements_.empty(), "no active elements");
+  const std::size_t ns = mix_.n_species();
+  comp_.resize(active_elements_.size() * ns);
+  for (std::size_t i = 0; i < active_elements_.size(); ++i)
+    for (std::size_t s = 0; s < ns; ++s)
+      comp_[i * ns + s] =
+          mix_.set().species(s).composition[active_elements_[i]];
 }
 
 EquilibriumSolver::EquilibriumSolver(
@@ -53,39 +60,172 @@ EquilibriumSolver::EquilibriumSolver(
     const std::vector<std::pair<std::string, double>>& cold)
     : EquilibriumSolver(std::move(set), element_moles_per_kg(cold)) {}
 
-std::vector<double> EquilibriumSolver::solve_composition(
-    double t, double p, std::vector<double>* warm_pi) const {
+namespace {
+
+// Newton budgets. A cold start takes ~45-70 damped iterations (steps of at
+// most 2 in the potentials). A warm start converges in a handful from a
+// nearby state and in tens from a distant one (a bracket end); one still
+// short of 1e-12 after kWarmIter iterations is abandoned for the cold
+// path. 60 gave the fewest total iterations over the smoke pulse cases:
+// 30 gives up on many distant Titan starts that would converge, 100
+// spends longer on the ones that never do.
+constexpr int kColdIter = 300;
+constexpr int kWarmIter = 60;
+
+// Converged states one inversion call remembers. Brent's answer is one of
+// its last few evaluations; an evicted one is simply evaluated again.
+constexpr std::size_t kMemory = 16;
+
+// Mixture specific entropy [J/(kg K)], including the entropy of mixing
+// (each species at its partial pressure).
+double entropy_of(const Mixture& mix, double t, double p,
+                  std::span<const double> x, double molar_mass) {
+  double s_mix = 0.0;  // [J/(mol K)] per mole of mixture
+  for (std::size_t s = 0; s < mix.n_species(); ++s) {
+    if (x[s] <= 0.0) continue;
+    s_mix += x[s] * entropy_mole(mix.set().species(s), t, p * x[s]);
+  }
+  return s_mix / molar_mass;
+}
+
+void normalize(std::span<double> x) {
+  double sx = 0.0;
+  for (double v : x) sx += v;
+  for (double& v : x) v /= sx;
+}
+
+}  // namespace
+
+// One equilibrium state converged during the current call.
+struct EquilibriumSolver::Trial {
+  double t = 0.0, p = 0.0;
+  double molar_mass = 0.0;  // [kg/mol]
+  double h = 0.0;           // [J/kg]
+  /// pi_u holds converged potentials (false after a loosely accepted
+  /// stall, whose potentials are not a solution).
+  bool has_potentials = false;
+  std::size_t seq = 0;  // evaluation order, from 1; 0 marks an empty slot
+  std::span<double> pi_u, x;
+
+  double e() const { return h - kRu / molar_mass * t; }
+};
+
+struct EquilibriumSolver::Scratch {
+  explicit Scratch(const EquilibriumSolver& eq);
+  // The spans view buf, so a copy would alias the original's storage.
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  /// The remembered state with converged potentials nearest in
+  /// temperature (the latest on a tie), or null.
+  const Trial* nearest(double t) const {
+    const Trial* best = nullptr;
+    for (const Trial& st : memory) {
+      if (st.seq == 0 || !st.has_potentials) continue;
+      if (!best || std::fabs(st.t - t) < std::fabs(best->t - t) ||
+          (std::fabs(st.t - t) == std::fabs(best->t - t) &&
+           st.seq > best->seq))
+        best = &st;
+    }
+    return best;
+  }
+
+  /// The latest state evaluated at exactly \p t, or null.
+  const Trial* latest_at(double t) const {
+    const Trial* found = nullptr;
+    for (const Trial& st : memory)
+      if (st.seq != 0 && st.t == t && (!found || st.seq > found->seq))
+        found = &st;
+    return found;
+  }
+
+  /// The state \p resid evaluated at \p t; one since evicted is evaluated
+  /// again (resid remembers every state it evaluates).
+  const Trial& recall(double t, const std::function<double(double)>& resid) {
+    if (!latest_at(t)) resid(t);
+    return *latest_at(t);
+  }
+
+  std::vector<double> buf;
+  // Newton state and temporaries; cont carries the potentials along the
+  // cold path's temperature continuation.
+  std::span<double> mu0, x, best_x, y, ax, res, step, lu_tmp, pi_u, cont;
+  Matrix jac, lu;
+  std::vector<std::size_t> piv;
+  std::array<Trial, kMemory> memory;
+  std::size_t n_evaluated = 0;
+};
+
+// cat-lint: allow-alloc(per-call scratch: one buffer, two matrices and a
+// pivot array per public call, sized by the species set)
+EquilibriumSolver::Scratch::Scratch(const EquilibriumSolver& eq)
+    : jac(eq.active_elements_.size() + 1, eq.active_elements_.size() + 1),
+      lu(jac),
+      piv(jac.rows()) {
+  const std::size_t ns = eq.mix_.n_species();
+  const std::size_t ne = eq.active_elements_.size(), m = ne + 1;
+  buf.assign(4 * ns + ne + 5 * m + kMemory * (m + ns), 0.0);
+  std::size_t used = 0;
+  auto take = [&](std::size_t n) {
+    const std::span<double> out = std::span<double>(buf).subspan(used, n);
+    used += n;
+    return out;
+  };
+  mu0 = take(ns);
+  x = take(ns);
+  best_x = take(ns);
+  y = take(ns);
+  ax = take(ne);
+  res = take(m);
+  step = take(m);
+  lu_tmp = take(m);
+  pi_u = take(m);
+  cont = take(m);
+  for (Trial& st : memory) {
+    st.pi_u = take(m);
+    st.x = take(ns);
+  }
+}
+
+// Damped Newton on the element potentials pi and u = ln(total moles/kg) at
+// (t, p), from `start` (pi..., u) or, when empty, from the cold start.
+// Returns true when the residual reaches 1e-12: ws.x holds the mole
+// fractions and ws.pi_u the potentials. On exhaustion a speculative (warm)
+// attempt returns false so its caller can fall back to the cold path;
+// otherwise the best iterate is accepted when within 1e-8 (ws.x; returns
+// false, ws.pi_u is no solution), and anything worse throws.
+bool EquilibriumSolver::newton(double t, double p,
+                               std::span<const double> start,
+                               bool speculative, Scratch& ws) const {
   CAT_REQUIRE(t > 0.0 && p > 0.0, "state must be positive");
   const std::size_t ns = mix_.n_species();
   const std::size_t ne = active_elements_.size();
 
   // mu0[s] = g_s(T, p_ref)/(Ru T) + ln(p/p_ref): standard-state chemical
   // potential in Ru*T units at the mixture pressure.
-  std::vector<double> mu0(ns);
   for (std::size_t s = 0; s < ns; ++s) {
-    mu0[s] = gibbs_mole(mix_.set().species(s), t, kPressureRef) / (kRu * t) +
-             std::log(p / kPressureRef);
+    ws.mu0[s] =
+        gibbs_mole(mix_.set().species(s), t, kPressureRef) / (kRu * t) +
+        std::log(p / kPressureRef);
   }
 
   double b_scale = 0.0;
   for (std::size_t e : active_elements_) b_scale = std::max(b_scale, b_[e]);
   CAT_REQUIRE(b_scale > 0.0, "zero elemental abundance");
 
-  // Unknowns: pi[0..ne-1] (element potentials / RuT), u = ln(total moles/kg).
-  std::vector<double> pi(ne, 0.0);
-  double u = std::log(2.0 * b_scale);
-  if (warm_pi && warm_pi->size() == ne + 1) {
-    for (std::size_t i = 0; i < ne; ++i) pi[i] = (*warm_pi)[i];
-    u = (*warm_pi)[ne];
+  const std::span<double> pi = ws.pi_u.first(ne);
+  double& u = ws.pi_u[ne];
+  if (start.size() == ne + 1) {
+    std::copy(start.begin(), start.end(), ws.pi_u.begin());
+  } else {
+    std::fill(pi.begin(), pi.end(), 0.0);
+    u = std::log(2.0 * b_scale);
   }
 
-  std::vector<double> x(ns), z(ns);
-  Matrix jac(ne + 1, ne + 1);
-  std::vector<double> res(ne + 1);
-  std::vector<double> best_x;
+  const std::span<double> x = ws.x, res = ws.res, step = ws.step;
+  Matrix& jac = ws.jac;
   double best_rnorm = 1e300;
-
-  const int max_iter = 300;
+  const int max_iter = speculative ? kWarmIter : kColdIter;
   for (int iter = 0; iter < max_iter; ++iter) {
     const double n_total = std::exp(u);
     for (std::size_t s = 0; s < ns; ++s) {
@@ -93,21 +233,18 @@ std::vector<double> EquilibriumSolver::solve_composition(
         x[s] = 0.0;
         continue;
       }
-      double zz = -mu0[s];
-      const auto& acomp = mix_.set().species(s).composition;
-      for (std::size_t i = 0; i < ne; ++i)
-        zz += acomp[active_elements_[i]] * pi[i];
-      z[s] = std::min(zz, 200.0);  // overflow guard; step limiting keeps
-                                   // genuine solutions far below this
-      x[s] = std::exp(z[s]);
+      double zz = -ws.mu0[s];
+      for (std::size_t i = 0; i < ne; ++i) zz += comp_[i * ns + s] * pi[i];
+      // Overflow guard; step limiting keeps genuine solutions far below.
+      x[s] = std::exp(std::min(zz, 200.0));
     }
 
-    // Residuals.
+    // Residuals: element balances (ax[i] = sum_s a_is x_s), then sum x = 1.
     double rnorm = 0.0;
     for (std::size_t i = 0; i < ne; ++i) {
       double acc = 0.0;
-      for (std::size_t s = 0; s < ns; ++s)
-        acc += mix_.set().species(s).composition[active_elements_[i]] * x[s];
+      for (std::size_t s = 0; s < ns; ++s) acc += comp_[i * ns + s] * x[s];
+      ws.ax[i] = acc;
       res[i] = (n_total * acc - b_[active_elements_[i]]) / b_scale;
       rnorm = std::max(rnorm, std::fabs(res[i]));
     }
@@ -119,47 +256,29 @@ std::vector<double> EquilibriumSolver::solve_composition(
     }
     if (rnorm < best_rnorm) {
       best_rnorm = rnorm;
-      best_x = x;
+      std::copy(x.begin(), x.end(), ws.best_x.begin());
     }
     if (rnorm < 1e-12) {
-      if (warm_pi) {
-        warm_pi->assign(pi.begin(), pi.end());
-        warm_pi->push_back(u);
-      }
-      // Normalize away residual drift and return mole fractions.
-      double sx = 0.0;
-      for (double v : x) sx += v;
-      for (double& v : x) v /= sx;
-      return x;
+      normalize(x);  // remove residual drift
+      return true;
     }
 
-    // Jacobian.
+    // Jacobian (symmetric in the element block).
     for (std::size_t i = 0; i < ne; ++i) {
-      for (std::size_t j = 0; j < ne; ++j) {
+      const double* ai = &comp_[i * ns];
+      for (std::size_t j = 0; j <= i; ++j) {
+        const double* aj = &comp_[j * ns];
         double acc = 0.0;
-        for (std::size_t s = 0; s < ns; ++s) {
-          const auto& acomp = mix_.set().species(s).composition;
-          acc += acomp[active_elements_[i]] * acomp[active_elements_[j]] * x[s];
-        }
-        jac(i, j) = n_total * acc / b_scale;
+        for (std::size_t s = 0; s < ns; ++s) acc += ai[s] * aj[s] * x[s];
+        jac(i, j) = jac(j, i) = n_total * acc / b_scale;
       }
-      double acc = 0.0;
-      for (std::size_t s = 0; s < ns; ++s)
-        acc += mix_.set().species(s).composition[active_elements_[i]] * x[s];
-      jac(i, ne) = n_total * acc / b_scale;  // d/d(lnN)
-    }
-    for (std::size_t j = 0; j < ne; ++j) {
-      double acc = 0.0;
-      for (std::size_t s = 0; s < ns; ++s)
-        acc += mix_.set().species(s).composition[active_elements_[j]] * x[s];
-      jac(ne, j) = acc;
+      jac(i, ne) = n_total * ws.ax[i] / b_scale;  // d/d(lnN)
+      jac(ne, i) = ws.ax[i];
     }
     jac(ne, ne) = 0.0;
 
-    std::vector<double> step;
-    try {
-      step = LuFactor(jac).solve(res);
-    } catch (const SolverError&) {
+    ws.lu = jac;  // same shape: copies into the existing storage
+    if (!numerics::try_lu_factor_inplace(ws.lu, ws.piv)) {
       // Singular Jacobian: at low temperature the trace species that pin
       // individual element potentials underflow, leaving a null direction
       // (only combinations like pi_C + 4 pi_H are determined). A ridge
@@ -167,16 +286,16 @@ std::vector<double> EquilibriumSolver::solve_composition(
       double dmax = 0.0;
       for (std::size_t i = 0; i <= ne; ++i)
         dmax = std::max(dmax, std::fabs(jac(i, i)));
-      Matrix ridged = jac;
+      ws.lu = jac;
       for (std::size_t i = 0; i <= ne; ++i)
-        ridged(i, i) += 1e-10 * (dmax + 1e-30);
-      try {
-        step = LuFactor(ridged).solve(res);
-      } catch (const SolverError&) {
+        ws.lu(i, i) += 1e-10 * (dmax + 1e-30);
+      if (!numerics::try_lu_factor_inplace(ws.lu, ws.piv)) {
         for (double& v : pi) v += 1e-3;
         continue;
       }
     }
+    std::copy(res.begin(), res.end(), step.begin());
+    numerics::lu_solve_inplace(ws.lu, ws.piv, step, ws.lu_tmp);
     // Damped Newton: cap the step so exp() stays controlled.
     double smax = 0.0;
     for (double v : step) smax = std::max(smax, std::fabs(v));
@@ -185,119 +304,168 @@ std::vector<double> EquilibriumSolver::solve_composition(
     u -= damp * step[ne];
     u = std::clamp(u, std::log(b_scale * 1e-6), std::log(b_scale * 1e6));
   }
+  if (speculative) return false;
   // Newton stalled (typically a residual plateau along a numerically null
   // potential direction at low temperature). Accept the best iterate when
   // it already satisfies a slightly looser engineering tolerance.
   if (best_rnorm < 1e-8) {
-    double sx = 0.0;
-    for (double v : best_x) sx += v;
-    for (double& v : best_x) v /= sx;
-    return best_x;
+    std::copy(ws.best_x.begin(), ws.best_x.end(), x.begin());
+    normalize(x);
+    return false;
   }
   throw SolverError("EquilibriumSolver: Newton failed to converge");
 }
 
-EquilibriumResult EquilibriumSolver::package(double t, double p,
-                                             std::vector<double> x) const {
-  EquilibriumResult out;
-  out.t = t;
-  out.p = p;
-  out.x = std::move(x);
-  out.y = mix_.mass_fractions_from_moles(out.x);
-  out.molar_mass = 0.0;
+bool EquilibriumSolver::solve_cold(double t, double p, Scratch& ws) const {
+  try {
+    return newton(t, p, {}, false, ws);
+  } catch (const SolverError&) {
+    // Continuation in temperature: equilibrium at ~6000 K converges from a
+    // cold start for every CAT mixture; walk toward the target T reusing
+    // the element potentials of each strictly converged step.
+    std::span<const double> warm;
+    auto step_to = [&](double tt) {
+      const bool converged = newton(tt, p, warm, false, ws);
+      if (converged) {
+        std::copy(ws.pi_u.begin(), ws.pi_u.end(), ws.cont.begin());
+        warm = ws.cont;
+      }
+      return converged;
+    };
+    const double t_cur = 6000.0;
+    step_to(t_cur);
+    const int steps = 40;
+    for (int i = 1; i <= steps; ++i) {
+      const double frac = static_cast<double>(i) / steps;
+      step_to(t_cur * std::pow(t / t_cur, frac));
+    }
+    return step_to(t);
+  }
+}
+
+const EquilibriumSolver::Trial& EquilibriumSolver::evaluate(
+    double t, double p, Scratch& ws) const {
+  const Trial* seed = ws.nearest(t);
+  const bool converged = (seed && newton(t, p, seed->pi_u, true, ws)) ||
+                         solve_cold(t, p, ws);
+  Trial& st = ws.memory[ws.n_evaluated++ % kMemory];
+  st.t = t;
+  st.p = p;
+  st.seq = ws.n_evaluated;
+  st.has_potentials = converged;
+  std::copy(ws.pi_u.begin(), ws.pi_u.end(), st.pi_u.begin());
+  std::copy(ws.x.begin(), ws.x.end(), st.x.begin());
+  // The totals package() reports, computed here once per state.
+  mix_.mass_fractions_from_moles(st.x, ws.y);
+  st.molar_mass = 0.0;
   for (std::size_t s = 0; s < mix_.n_species(); ++s)
-    out.molar_mass += out.x[s] * mix_.set().species(s).molar_mass;
+    st.molar_mass += st.x[s] * mix_.set().species(s).molar_mass;
+  st.h = mix_.enthalpy_mass(ws.y, t);
+  return st;
+}
+
+// cat-lint: allow-alloc(result packaging: the owned copy a call returns)
+EquilibriumResult EquilibriumSolver::package(const Trial& st) const {
+  EquilibriumResult out;
+  out.t = st.t;
+  out.p = st.p;
+  out.x.assign(st.x.begin(), st.x.end());
+  out.y.resize(out.x.size());
+  mix_.mass_fractions_from_moles(out.x, out.y);
+  out.molar_mass = st.molar_mass;
   const double r = kRu / out.molar_mass;
-  out.rho = p / (r * t);
-  out.h = mix_.enthalpy_mass(out.y, t);
-  out.e = out.h - r * t;
-  out.gamma_eff = out.e != 0.0 ? p / (out.rho * std::fabs(out.e)) + 1.0 : 0.0;
+  out.rho = st.p / (r * st.t);
+  out.h = st.h;
+  out.e = st.e();
+  out.gamma_eff = out.e != 0.0 ? st.p / (out.rho * std::fabs(out.e)) + 1.0
+                               : 0.0;
   return out;
 }
 
 EquilibriumResult EquilibriumSolver::solve_tp(double t, double p) const {
-  try {
-    return package(t, p, solve_composition(t, p, nullptr));
-  } catch (const SolverError&) {
-    // Continuation in temperature: equilibrium at ~6000 K converges from a
-    // cold start for every CAT mixture; walk toward the target T reusing
-    // the element potentials as warm starts.
-    std::vector<double> warm;
-    double t_cur = 6000.0;
-    solve_composition(t_cur, p, &warm);
-    const int steps = 40;
-    for (int i = 1; i <= steps; ++i) {
-      const double frac = static_cast<double>(i) / steps;
-      const double tt = t_cur * std::pow(t / t_cur, frac);
-      solve_composition(tt, p, &warm);
-    }
-    return package(t, p, solve_composition(t, p, &warm));
-  }
+  Scratch ws(*this);
+  return package(evaluate(t, p, ws));
 }
 
 EquilibriumResult EquilibriumSolver::solve_rho_e(double rho, double e) const {
   CAT_REQUIRE(rho > 0.0, "density must be positive");
+  Scratch ws(*this);
   // For a trial temperature, pressure follows from rho and the converged
   // molar mass: p = rho Ru T / Mbar(T, p). Mbar depends weakly on p, so a
-  // short fixed-point iteration suffices.
-  auto state_at = [&](double t) {
+  // short fixed-point iteration suffices; its last iterate is the state.
+  // cat-lint: allow-alloc(per-call residual closure)
+  const std::function<double(double)> resid = [&](double t) {
     double mbar = 0.0288;  // air-like initial guess
-    EquilibriumResult st;
+    const Trial* st = nullptr;
     for (int k = 0; k < 40; ++k) {
-      const double p = rho * kRu * t / mbar;
-      st = solve_tp(t, p);
-      if (std::fabs(st.molar_mass - mbar) < 1e-12) break;
-      mbar = st.molar_mass;
+      st = &evaluate(t, rho * kRu * t / mbar, ws);
+      if (std::fabs(st->molar_mass - mbar) < 1e-12) break;
+      mbar = st->molar_mass;
     }
-    return st;
+    return st->e() - e;
   };
-  auto resid = [&](double t) { return state_at(t).e - e; };
 
-  double lo = 150.0, hi = 40000.0;
+  double lo = 150.0;
+  const double hi = 40000.0;
   // The residual is monotone in T; make sure the bracket straddles.
-  double flo = resid(lo);
-  if (flo > 0.0) lo = 50.0;
-  double fhi = resid(hi);
-  if (fhi < 0.0) {
-    return state_at(hi);  // energy beyond table: clamp at max temperature
+  double f_lo = resid(lo);
+  if (f_lo > 0.0) {
+    lo = 50.0;
+    f_lo = resid(lo);
+    if (f_lo > 0.0)
+      throw SolverError(
+          "EquilibriumSolver::solve_rho_e: energy below the 50 K "
+          "equilibrium state (cold end of the temperature bracket)");
   }
-  (void)flo;
-  const double t_sol = numerics::brent(resid, lo, hi, {.tol = 1e-10});
-  return state_at(t_sol);
+  const double f_hi = resid(hi);
+  if (f_hi < 0.0) {
+    // Energy beyond the bracket: clamp at the maximum temperature.
+    return package(ws.recall(hi, resid));
+  }
+  const double t_sol =
+      numerics::brent(resid, lo, hi, f_lo, f_hi, {.tol = 1e-10});
+  return package(ws.recall(t_sol, resid));
 }
 
 EquilibriumResult EquilibriumSolver::solve_ph(double p, double h) const {
-  auto resid = [&](double t) { return solve_tp(t, p).h - h; };
-  double lo = 150.0, hi = 40000.0;
-  if (resid(hi) < 0.0) return solve_tp(hi, p);
-  if (resid(lo) > 0.0) return solve_tp(lo, p);
-  const double t_sol = numerics::brent(resid, lo, hi, {.tol = 1e-10});
-  return solve_tp(t_sol, p);
+  Scratch ws(*this);
+  // cat-lint: allow-alloc(per-call residual closure)
+  const std::function<double(double)> resid = [&](double t) {
+    return evaluate(t, p, ws).h - h;
+  };
+  const double lo = 150.0, hi = 40000.0;
+  const double f_hi = resid(hi);
+  if (f_hi < 0.0) return package(ws.recall(hi, resid));
+  const double f_lo = resid(lo);
+  if (f_lo > 0.0) return package(ws.recall(lo, resid));
+  const double t_sol =
+      numerics::brent(resid, lo, hi, f_lo, f_hi, {.tol = 1e-10});
+  return package(ws.recall(t_sol, resid));
 }
 
 double EquilibriumSolver::entropy(const EquilibriumResult& st) const {
-  double s_mix = 0.0;  // [J/(mol K)] per mole of mixture
-  for (std::size_t s = 0; s < mix_.n_species(); ++s) {
-    if (st.x[s] <= 0.0) continue;
-    s_mix += st.x[s] * entropy_mole(mix_.set().species(s), st.t,
-                                    st.p * st.x[s]);
-  }
-  return s_mix / st.molar_mass;
+  return entropy_of(mix_, st.t, st.p, st.x, st.molar_mass);
 }
 
 EquilibriumResult EquilibriumSolver::expand_isentropic(
     const EquilibriumResult& from, double p) const {
   CAT_REQUIRE(p > 0.0, "pressure must be positive");
+  Scratch ws(*this);
   const double s_target = entropy(from);
-  auto resid = [&](double t) {
-    return entropy(solve_tp(t, p)) - s_target;
+  // cat-lint: allow-alloc(per-call residual closure)
+  const std::function<double(double)> resid = [&](double t) {
+    const Trial& st = evaluate(t, p, ws);
+    return entropy_of(mix_, st.t, st.p, st.x, st.molar_mass) - s_target;
   };
   // Entropy rises monotonically with T at fixed p.
-  double lo = 160.0, hi = 40000.0;
-  if (resid(lo) > 0.0) return solve_tp(lo, p);
-  if (resid(hi) < 0.0) return solve_tp(hi, p);
-  const double t_sol = numerics::brent(resid, lo, hi, {.tol = 1e-10});
-  return solve_tp(t_sol, p);
+  const double lo = 160.0, hi = 40000.0;
+  const double f_lo = resid(lo);
+  if (f_lo > 0.0) return package(ws.recall(lo, resid));
+  const double f_hi = resid(hi);
+  if (f_hi < 0.0) return package(ws.recall(hi, resid));
+  const double t_sol =
+      numerics::brent(resid, lo, hi, f_lo, f_hi, {.tol = 1e-10});
+  return package(ws.recall(t_sol, resid));
 }
 
 double EquilibriumSolver::sound_speed(const EquilibriumResult& st) const {

@@ -9,7 +9,10 @@
 /// that definition: given (T, p) and the elemental makeup of the gas, it
 /// returns the composition minimizing total Gibbs energy. Density-energy
 /// inversions (rho, e) -> (T, p, composition) — the form finite-volume
-/// solvers need — are layered on top.
+/// solvers need — are layered on top. An inversion starts each trial
+/// temperature's minimization from the nearest state it already solved;
+/// nothing carries over between calls, so every result depends on its
+/// arguments alone.
 
 #include <array>
 #include <span>
@@ -75,6 +78,12 @@ class EquilibriumSolver {
                                       double p) const;
 
  private:
+  /// Per-call Newton workspace plus the states converged so far in that
+  /// call (defined in equilibrium.cpp). It lives on the stack of one public
+  /// call, so no result depends on an earlier call.
+  struct Scratch;
+  struct Trial;
+
   Mixture mix_;
   std::array<double, kNumElements> b_;
   std::vector<std::size_t> active_elements_;  // elements present in the set
@@ -82,14 +91,24 @@ class EquilibriumSolver {
   /// to zero mole fraction (an element with zero abundance would drive its
   /// potential to -infinity otherwise).
   std::vector<bool> enabled_;
+  /// comp_[i * n_species + s]: atoms of active element i in species s,
+  /// bound once so the Newton loop reads no species records.
+  std::vector<double> comp_;
 
-  /// Core Newton iteration on element potentials at fixed (T, p).
-  /// warm_pi may carry potentials from a neighbouring state.
-  std::vector<double> solve_composition(double t, double p,
-                                        std::vector<double>* warm_pi) const;
+  /// Damped Newton on the element potentials at (t, p) from \p start
+  /// (empty: the cold start). See equilibrium.cpp for the outcomes.
+  bool newton(double t, double p, std::span<const double> start,
+              bool speculative, Scratch& ws) const;
 
-  EquilibriumResult package(double t, double p,
-                            std::vector<double> mole_frac) const;
+  /// The cold solve: Newton from the cold start, then a temperature
+  /// continuation from 6000 K. Returns whether potentials converged.
+  bool solve_cold(double t, double p, Scratch& ws) const;
+
+  /// Composition at (t, p), warm-started from the nearest state this call
+  /// already converged, and remembered for the rest of the call.
+  const Trial& evaluate(double t, double p, Scratch& ws) const;
+
+  EquilibriumResult package(const Trial& st) const;
 };
 
 }  // namespace cat::gas

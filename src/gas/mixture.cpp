@@ -46,10 +46,10 @@ void Mixture::mole_fractions(std::span<const double> y,
   for (double& v : x) v /= total;
 }
 
-std::vector<double> Mixture::mass_fractions_from_moles(
-    std::span<const double> x) const {
-  CAT_REQUIRE(x.size() == n_species(), "composition size mismatch");
-  std::vector<double> y(x.size());
+void Mixture::mass_fractions_from_moles(std::span<const double> x,
+                                        std::span<double> y) const {
+  CAT_REQUIRE(x.size() == n_species() && y.size() == n_species(),
+              "composition size mismatch");
   double total = 0.0;
   for (std::size_t s = 0; s < x.size(); ++s) {
     y[s] = x[s] * set_.species(s).molar_mass;
@@ -57,7 +57,6 @@ std::vector<double> Mixture::mass_fractions_from_moles(
   }
   CAT_REQUIRE(total > 0.0, "all-zero composition");
   for (double& v : y) v /= total;
-  return y;
 }
 
 double Mixture::cp_mass(std::span<const double> y, double t) const {

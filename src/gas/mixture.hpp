@@ -37,9 +37,10 @@ class Mixture {
   /// (hot-path workspace convention; x.size() == n_species()).
   void mole_fractions(std::span<const double> y, std::span<double> x) const;
 
-  /// Mole fractions -> mass fractions.
-  std::vector<double> mass_fractions_from_moles(
-      std::span<const double> x) const;
+  /// Mole fractions -> mass fractions, written into caller-owned \p y
+  /// (y.size() == n_species()).
+  void mass_fractions_from_moles(std::span<const double> x,
+                                 std::span<double> y) const;
 
   /// Frozen specific heat cp [J/(kg K)] at temperature t.
   double cp_mass(std::span<const double> y, double t) const;

@@ -103,6 +103,11 @@ double LuFactor::determinant() const {
 }
 
 void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
+  if (!try_lu_factor_inplace(a, piv))
+    throw SolverError("lu_factor_inplace: matrix is numerically singular");
+}
+
+bool try_lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
   const std::size_t n = a.rows();
   CAT_REQUIRE(a.rows() == a.cols(), "LU requires a square matrix");
   CAT_REQUIRE(piv.size() == n, "pivot array size mismatch");
@@ -117,9 +122,7 @@ void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
         p = i;
       }
     }
-    if (pmax < 1e-300) {
-      throw SolverError("lu_factor_inplace: matrix is numerically singular");
-    }
+    if (pmax < 1e-300) return false;
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
       std::swap(piv[k], piv[p]);
@@ -132,6 +135,7 @@ void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv) {
       for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= m * a(k, j);
     }
   }
+  return true;
 }
 
 void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,

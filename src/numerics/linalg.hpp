@@ -94,6 +94,12 @@ class LuFactor {
 /// when the matrix is numerically singular.
 void lu_factor_inplace(Matrix& a, std::span<std::size_t> piv);
 
+/// Non-throwing form of lu_factor_inplace for loops that recover from a
+/// singular matrix themselves (the Gibbs Newton's ridge fallback): returns
+/// false, leaving \p a partially factorized, where lu_factor_inplace throws.
+[[nodiscard]] bool try_lu_factor_inplace(Matrix& a,
+                                         std::span<std::size_t> piv);
+
 /// Solve A x = b in place using factors/pivots from lu_factor_inplace; \p b
 /// holds x on return. \p scratch must have size >= b.size().
 void lu_solve_inplace(const Matrix& lu, std::span<const std::size_t> piv,

@@ -54,8 +54,14 @@ double newton_bracketed(const std::function<double(double)>& f,
 
 double brent(const std::function<double(double)>& f, double lo, double hi,
              const RootOptions& opt) {
+  const double f_lo = f(lo), f_hi = f(hi);
+  return brent(f, lo, hi, f_lo, f_hi, opt);
+}
+
+double brent(const std::function<double(double)>& f, double lo, double hi,
+             double f_lo, double f_hi, const RootOptions& opt) {
   double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
+  double fa = f_lo, fb = f_hi;
   if (fa == 0.0) return a;
   if (fb == 0.0) return b;
   CAT_REQUIRE(fa * fb < 0.0, "brent: bracket does not change sign");

@@ -31,6 +31,12 @@ double newton_bracketed(const std::function<double(double)>& f,
 double brent(const std::function<double(double)>& f, double lo, double hi,
              const RootOptions& opt = {});
 
+/// Same, for a caller that already holds \p f_lo = f(lo) and
+/// \p f_hi = f(hi) (from its own bracket checks): f is not called at the
+/// ends again.
+double brent(const std::function<double(double)>& f, double lo, double hi,
+             double f_lo, double f_hi, const RootOptions& opt = {});
+
 /// Simple bisection (guaranteed, slow); mostly used as a test oracle.
 double bisection(const std::function<double(double)>& f, double lo, double hi,
                  const RootOptions& opt = {});

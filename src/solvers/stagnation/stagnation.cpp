@@ -23,6 +23,12 @@ StagnationLineSolver::StagnationLineSolver(const gas::EquilibriumSolver& eq,
 
 ShockLayerEdge StagnationLineSolver::shock_layer_edge(
     const StagnationConditions& c) const {
+  gas::EquilibriumResult stag;
+  return shock_layer_edge(c, stag);
+}
+
+ShockLayerEdge StagnationLineSolver::shock_layer_edge(
+    const StagnationConditions& c, gas::EquilibriumResult& stag) const {
   CAT_REQUIRE(c.velocity > 0.0 && c.rho_inf > 0.0 && c.p_inf > 0.0,
               "bad freestream");
   // Freestream enthalpy from the cold equilibrium state at (T_inf, p_inf).
@@ -54,7 +60,7 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
   // Stagnation edge: recover the small post-shock kinetic head.
   e.p_stag = e.p2 + 0.5 * e.rho2 * e.u2 * e.u2;
   e.h_stag = h1 + 0.5 * v * v;
-  const auto stag = eq_.solve_ph(e.p_stag, e.h_stag);
+  stag = eq_.solve_ph(e.p_stag, e.h_stag);
   e.t_stag = stag.t;
   e.rho_stag = stag.rho;
   // Shock standoff: classic blunt-body correlation delta = 0.78 eps R.
@@ -64,14 +70,15 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
 
 StagnationSolution StagnationLineSolver::solve(
     const StagnationConditions& c) const {
-  const ShockLayerEdge edge = shock_layer_edge(c);
+  gas::EquilibriumResult stag;  // equilibrium state at (p_stag, h_stag)
+  const ShockLayerEdge edge = shock_layer_edge(c, stag);
+  // Wall enthalpy at T_w: cold equilibrium composition at the wall.
+  const double h_wall = eq_.solve_tp(c.wall_temperature_K, edge.p_stag).h;
   // The similarity formulation normalizes by the edge total enthalpy; it
   // requires genuinely hypersonic conditions (h_e well above the wall
   // enthalpy). Below that the boundary-layer problem is not the one this
   // solver models.
-  if (edge.h_stag < 2.0e5 ||
-      edge.h_stag < 2.0 * std::fabs(
-                        eq_.solve_tp(c.wall_temperature_K, edge.p_stag).h)) {
+  if (edge.h_stag < 2.0e5 || edge.h_stag < 2.0 * std::fabs(h_wall)) {
     throw SolverError(
         "StagnationLineSolver: edge enthalpy too low (non-hypersonic)");
   }
@@ -81,13 +88,7 @@ StagnationSolution StagnationLineSolver::solve(
 
   // ---- enthalpy-parameterized property tables across the layer --------
   // g = h/h_edge in [g_wall*0.8, 1.02]; all states at p = p_stag.
-  const auto wall_state = eq_.solve_ph(
-      edge.p_stag,
-      [&] {
-        // Wall enthalpy at T_w: cold equilibrium composition at the wall.
-        const auto w = eq_.solve_tp(c.wall_temperature_K, edge.p_stag);
-        return w.h;
-      }());
+  const auto wall_state = eq_.solve_ph(edge.p_stag, h_wall);
   const double h_e = edge.h_stag;
   const double g_w = wall_state.h / h_e;
   const double g_lo = std::min(g_w * 0.8, g_w - 1e-4);
@@ -97,10 +98,7 @@ StagnationSolution StagnationLineSolver::solve(
   std::vector<double> g_nodes(nt), c_chap(nt), c_over_pr(nt), rho_tab(nt),
       t_tab(nt), mu_tab(nt);
   std::vector<std::vector<double>> x_tab(nt);
-  const double rho_e_mu_e = [&] {
-    const auto st = eq_.solve_ph(edge.p_stag, h_e);
-    return st.rho * trans.viscosity(st.y, st.t);
-  }();
+  const double rho_e_mu_e = stag.rho * trans.viscosity(stag.y, stag.t);
   for (std::size_t k = 0; k < nt; ++k) {
     const double g =
         g_lo + (g_hi - g_lo) * static_cast<double>(k) /
@@ -256,16 +254,15 @@ StagnationSolution StagnationLineSolver::solve(
   // Extend to the shock with the uniform inviscid equilibrium layer.
   const double y_bl = out.y_phys.back();
   if (edge.standoff > y_bl) {
-    const auto post = eq_.solve_ph(edge.p_stag, h_e);
     const std::size_t n_ext = 12;
     for (std::size_t k = 1; k <= n_ext; ++k) {
       const double y = y_bl + (edge.standoff - y_bl) *
                                   static_cast<double>(k) /
                                   static_cast<double>(n_ext);
       out.y_phys.push_back(y);
-      out.temperature.push_back(post.t);
+      out.temperature.push_back(stag.t);
       for (std::size_t s = 0; s < ns; ++s)
-        out.species_x[s].push_back(post.x[s]);
+        out.species_x[s].push_back(stag.x[s]);
     }
   }
 

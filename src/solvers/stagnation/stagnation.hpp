@@ -80,6 +80,11 @@ class StagnationLineSolver {
   StagnationSolution solve(const StagnationConditions& c) const;
 
  private:
+  /// shock_layer_edge, also handing back the equilibrium stagnation state
+  /// it solves for, so solve() does not solve that state again.
+  ShockLayerEdge shock_layer_edge(const StagnationConditions& c,
+                                  gas::EquilibriumResult& stag) const;
+
   const gas::EquilibriumSolver& eq_;
   StagnationOptions opt_;
   radiation::RadiationModel rad_;

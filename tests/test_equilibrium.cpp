@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "core/error.hpp"
 #include "gas/equilibrium.hpp"
 #include "gas/species.hpp"
 
@@ -178,6 +179,51 @@ TEST(Equilibrium, RejectsElementAbsentFromSet) {
   b[static_cast<std::size_t>(Element::kN)] = 50.0;
   b[static_cast<std::size_t>(Element::kC)] = 1.0;  // no carbon in air5
   EXPECT_THROW(EquilibriumSolver(set, b), std::invalid_argument);
+}
+
+TEST(Equilibrium, RhoEBelowColdEndIsASolverError) {
+  // An energy below e(50 K) has no state in the temperature bracket. That
+  // is a solver failure pipeline layers absorb (cat::Error), not API
+  // misuse (std::invalid_argument from a root finder's precondition).
+  auto set = make_air5();
+  const auto solver = air_solver(set);
+  EXPECT_THROW(solver.solve_rho_e(1.0, -4.0e5), cat::SolverError);
+}
+
+// solve_ph warm-starts each Brent trial from the states it already
+// converged; its answer must still be the cold Gibbs minimum at the
+// temperature it returns, and hit the target enthalpy. Mole fractions are
+// fractions of the mixture and Newton stops at 1e-12 on the element
+// balances, so they agree to 1e-12 of the mixture: a trace ion at 300 K
+// (x ~ 1e-13, a numerically free charge direction) has no relative
+// precision to compare.
+void expect_ph_matches_cold_tp(const EquilibriumSolver& solver) {
+  for (double p : {1.0e2, 1.0e4, 1.0e6}) {
+    for (double t : {150.0, 300.0, 1200.0, 3000.0, 5500.0, 9000.0, 14000.0,
+                     22000.0, 32000.0, 40000.0}) {
+      const double h = solver.solve_tp(t, p).h;
+      const auto r = solver.solve_ph(p, h);
+      const auto cold = solver.solve_tp(r.t, p);
+      for (std::size_t s = 0; s < r.x.size(); ++s)
+        EXPECT_NEAR(r.x[s], cold.x[s], 1e-12)
+            << "species " << s << " at T=" << t << " p=" << p;
+      EXPECT_LE(std::fabs(r.h - h), 1e-10 * std::fabs(h))
+          << "T=" << t << " p=" << p;
+    }
+  }
+}
+
+TEST(Equilibrium, PhSolveMatchesColdTpAir5) {
+  expect_ph_matches_cold_tp(air_solver(make_air5()));
+}
+
+TEST(Equilibrium, PhSolveMatchesColdTpAir11) {
+  expect_ph_matches_cold_tp(air_solver(make_air11()));
+}
+
+TEST(Equilibrium, PhSolveMatchesColdTpTitan) {
+  expect_ph_matches_cold_tp(
+      EquilibriumSolver(make_titan(), {{"N2", 0.95}, {"CH4", 0.05}}));
 }
 
 // Parameterized sweep: solver converges and conserves across a (T, p) grid.

@@ -14,6 +14,7 @@
 #include "chemistry/batch.hpp"
 #include "chemistry/reaction.hpp"
 #include "chemistry/source.hpp"
+#include "gas/equilibrium.hpp"
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
@@ -219,6 +220,35 @@ TEST(WorkspaceAlloc, IsochoricAdvanceAllocsIndependentOfStepCount) {
   EXPECT_EQ(allocs_long, allocs_short)
       << "stiff inner loop allocated (short=" << allocs_short
       << ", long=" << allocs_long << ")";
+}
+
+// Equilibrium inversions: a solve_ph allocates its per-call scratch, the
+// residual closure and the returned result, and nothing per Brent trial or
+// Newton iteration. A cold 600 K state and a dissociated, ionizing
+// 15000 K state take different numbers of trials and iterations; if their
+// allocation counts agree, the Gibbs loop is allocation-free.
+TEST(WorkspaceAlloc, EquilibriumPhSolveAllocsIndependentOfIterationCount) {
+  const gas::EquilibriumSolver eq(gas::make_air11(),
+                                  {{"N2", 0.79}, {"O2", 0.21}});
+  const double p = 1.0e4;
+  const double h_cold = eq.solve_tp(600.0, p).h;
+  const double h_hot = eq.solve_tp(15000.0, p).h;
+  std::size_t allocs_cold, allocs_hot;
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h_cold);
+    allocs_cold = scope.count();
+    EXPECT_NEAR(r.t, 600.0, 1e-6);
+  }
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h_hot);
+    allocs_hot = scope.count();
+    EXPECT_NEAR(r.t, 15000.0, 1e-6);
+  }
+  EXPECT_EQ(allocs_hot, allocs_cold)
+      << "Gibbs loop allocated (600 K: " << allocs_cold
+      << ", 15000 K: " << allocs_hot << ")";
 }
 
 // ---- tier-0 serving path: correlations + surrogate lookup ----

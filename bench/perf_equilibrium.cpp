@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "gas/eos_table.hpp"
 #include "gas/equilibrium.hpp"
 
@@ -69,6 +71,33 @@ void direct_gibbs_ph_titan(benchmark::State& state) {
   run_gibbs_ph(state, titan_solver(), 5.0e3);
 }
 
+// The same targets as run_gibbs_ph, each hinted by the state at the
+// neighbouring table enthalpy: the stagnation line's property-table walk,
+// where every node seeds the next.
+void run_gibbs_ph_hinted(benchmark::State& state,
+                         const gas::EquilibriumSolver& eq, double p) {
+  std::vector<double> hs;
+  for (double h = 2e6; h < 3e7; h += 7e5) hs.push_back(h);
+  hs.push_back(hs.back() + 7e5);  // the sweep's last target, >= 3e7
+  std::vector<gas::EquilibriumResult> neighbours;
+  for (double h : hs) neighbours.push_back(eq.solve_ph(p, h));
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto& hint = neighbours[k == 0 ? 1 : k - 1];
+    const auto r = eq.solve_ph(p, hs[k], &hint);
+    benchmark::DoNotOptimize(r.t);
+    k = k + 1 < hs.size() ? k + 1 : 0;
+  }
+}
+
+void direct_gibbs_ph_hinted(benchmark::State& state) {
+  run_gibbs_ph_hinted(state, solver(), 5.0e3);
+}
+
+void direct_gibbs_ph_hinted_titan(benchmark::State& state) {
+  run_gibbs_ph_hinted(state, titan_solver(), 5.0e3);
+}
+
 void direct_gibbs_rho_e(benchmark::State& state) {
   const auto& eq = solver();
   double e = 5e6;
@@ -96,4 +125,6 @@ BENCHMARK(direct_gibbs_tp);
 BENCHMARK(direct_gibbs_rho_e);
 BENCHMARK(direct_gibbs_ph);
 BENCHMARK(direct_gibbs_ph_titan);
+BENCHMARK(direct_gibbs_ph_hinted);
+BENCHMARK(direct_gibbs_ph_hinted_titan);
 BENCHMARK(table_lookup);

@@ -9,7 +9,7 @@
 //
 // (serve_cache_hit itself lands at a few hundred ns on the capture
 // machine — the <= 1 us façade criterion — and serve_surrogate_miss
-// shows the queue + surrogate-tier pipeline between the two.)
+// shows the uncached surrogate-tier pipeline between the two.)
 
 #include <benchmark/benchmark.h>
 
@@ -83,9 +83,9 @@ void serve_cache_hit(benchmark::State& state) {
 }
 
 void serve_surrogate_miss(benchmark::State& state) {
-  // Every iteration is a fresh key, so each serve runs the full pipeline:
-  // enqueue on the bounded queue, surrogate-tier lookup on a worker,
-  // pending-slot handoff back to the caller.
+  // Every iteration is a fresh key, so each serve runs the full pipeline
+  // of a miss: in-flight slot, surrogate-tier lookup on the calling
+  // thread, cache insert.
   scenario::clear_surrogates();
   register_anchor_table();
   scenario::ServerOptions opt;
@@ -100,7 +100,7 @@ void serve_surrogate_miss(benchmark::State& state) {
     benchmark::DoNotOptimize(r.metrics.data());
   }
   scenario::clear_surrogates();
-  state.SetLabel("fresh on-table query: queue + surrogate tier");
+  state.SetLabel("fresh on-table query: surrogate tier");
 }
 
 void serve_full_solve(benchmark::State& state) {

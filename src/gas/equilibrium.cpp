@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "core/error.hpp"
 #include "gas/constants.hpp"
@@ -94,6 +95,39 @@ void normalize(std::span<double> x) {
   for (double& v : x) v /= sx;
 }
 
+// Temperature bracket of the (p, h) inversion [K].
+constexpr double kTLo = 150.0, kTHi = 40000.0;
+// First growth factor of a hinted bracket. Successive stagnation-line
+// queries sit within a few percent of each other in T; squaring the
+// factor each step still reaches either clamp in about eight steps.
+constexpr double kHintGrowth = 1.02;
+
+// Root in [lo, hi] of a residual increasing in T, or the clamp end when
+// the residual keeps one sign up to it. The bracket grows from t0 toward
+// the sign change by the factor `grow`, squared after every step, then
+// Brent closes it. t0 = lo or hi with an infinite factor is the plain
+// full-bracket search: that end, then the other, then Brent.
+double bracket_root(const std::function<double(double)>& resid, double lo,
+                    double hi, double t0, double grow) {
+  double t = t0, f = resid(t0);
+  if (f == 0.0) return t;
+  const bool up = f < 0.0;  // the root lies above t0
+  const double clamp_end = up ? hi : lo;
+  double t_near = t, f_near = f;
+  // Each step moves t by a factor of at least 1.02 toward the clamp end
+  // (clamped to it), so the search ends at the clamp or a sign change.
+  while ((up ? f < 0.0 : f > 0.0) && t != clamp_end) {
+    t_near = t;
+    f_near = f;
+    t = up ? std::min(t * grow, hi) : std::max(t / grow, lo);
+    grow *= grow;
+    f = resid(t);
+  }
+  if (up ? f < 0.0 : f > 0.0) return t;  // beyond the bracket: clamp
+  return up ? numerics::brent(resid, t_near, t, f_near, f, {.tol = 1e-10})
+            : numerics::brent(resid, t, t_near, f, f_near, {.tol = 1e-10});
+}
+
 }  // namespace
 
 // One equilibrium state converged during the current call.
@@ -146,6 +180,8 @@ struct EquilibriumSolver::Scratch {
     return *latest_at(t);
   }
 
+  /// Potentials a caller's hint supplies for the first trial (empty: none).
+  std::span<const double> seed;
   std::vector<double> buf;
   // Newton state and temporaries; cont carries the potentials along the
   // cold path's temperature continuation.
@@ -345,8 +381,9 @@ bool EquilibriumSolver::solve_cold(double t, double p, Scratch& ws) const {
 
 const EquilibriumSolver::Trial& EquilibriumSolver::evaluate(
     double t, double p, Scratch& ws) const {
-  const Trial* seed = ws.nearest(t);
-  const bool converged = (seed && newton(t, p, seed->pi_u, true, ws)) ||
+  const Trial* near = ws.nearest(t);
+  const std::span<const double> start = near ? near->pi_u : ws.seed;
+  const bool converged = (!start.empty() && newton(t, p, start, true, ws)) ||
                          solve_cold(t, p, ws);
   Trial& st = ws.memory[ws.n_evaluated++ % kMemory];
   st.t = t;
@@ -379,6 +416,8 @@ EquilibriumResult EquilibriumSolver::package(const Trial& st) const {
   out.e = st.e();
   out.gamma_eff = out.e != 0.0 ? st.p / (out.rho * std::fabs(out.e)) + 1.0
                                : 0.0;
+  if (st.has_potentials)
+    out.potentials.assign(st.pi_u.begin(), st.pi_u.end());
   return out;
 }
 
@@ -427,20 +466,21 @@ EquilibriumResult EquilibriumSolver::solve_rho_e(double rho, double e) const {
   return package(ws.recall(t_sol, resid));
 }
 
-EquilibriumResult EquilibriumSolver::solve_ph(double p, double h) const {
+EquilibriumResult EquilibriumSolver::solve_ph(
+    double p, double h, const EquilibriumResult* hint) const {
   Scratch ws(*this);
   // cat-lint: allow-alloc(per-call residual closure)
   const std::function<double(double)> resid = [&](double t) {
     return evaluate(t, p, ws).h - h;
   };
-  const double lo = 150.0, hi = 40000.0;
-  const double f_hi = resid(hi);
-  if (f_hi < 0.0) return package(ws.recall(hi, resid));
-  const double f_lo = resid(lo);
-  if (f_lo > 0.0) return package(ws.recall(lo, resid));
-  const double t_sol =
-      numerics::brent(resid, lo, hi, f_lo, f_hi, {.tol = 1e-10});
-  return package(ws.recall(t_sol, resid));
+  // Unhinted: the full bracket, hot end first.
+  double t0 = kTHi, grow = std::numeric_limits<double>::infinity();
+  if (hint) {
+    if (hint->potentials.size() == ws.pi_u.size()) ws.seed = hint->potentials;
+    t0 = std::clamp(hint->t, kTLo, kTHi);
+    grow = kHintGrowth;
+  }
+  return package(ws.recall(bracket_root(resid, kTLo, kTHi, t0, grow), resid));
 }
 
 double EquilibriumSolver::entropy(const EquilibriumResult& st) const {
@@ -457,15 +497,13 @@ EquilibriumResult EquilibriumSolver::expand_isentropic(
     const Trial& st = evaluate(t, p, ws);
     return entropy_of(mix_, st.t, st.p, st.x, st.molar_mass) - s_target;
   };
-  // Entropy rises monotonically with T at fixed p.
-  const double lo = 160.0, hi = 40000.0;
-  const double f_lo = resid(lo);
-  if (f_lo > 0.0) return package(ws.recall(lo, resid));
-  const double f_hi = resid(hi);
-  if (f_hi < 0.0) return package(ws.recall(hi, resid));
-  const double t_sol =
-      numerics::brent(resid, lo, hi, f_lo, f_hi, {.tol = 1e-10});
-  return package(ws.recall(t_sol, resid));
+  // Entropy rises monotonically with T at fixed p; full bracket, cold end
+  // first.
+  const double lo = 160.0;
+  return package(ws.recall(
+      bracket_root(resid, lo, kTHi, lo,
+                   std::numeric_limits<double>::infinity()),
+      resid));
 }
 
 double EquilibriumSolver::sound_speed(const EquilibriumResult& st) const {

@@ -10,9 +10,13 @@
 /// returns the composition minimizing total Gibbs energy. Density-energy
 /// inversions (rho, e) -> (T, p, composition) — the form finite-volume
 /// solvers need — are layered on top. An inversion starts each trial
-/// temperature's minimization from the nearest state it already solved;
-/// nothing carries over between calls, so every result depends on its
-/// arguments alone.
+/// temperature's minimization from the nearest state it already solved.
+/// solve_ph also takes an optional hint, a state converged by an earlier
+/// call (the previous point along a stagnation line, say): the hint changes
+/// only where the inversion starts — the first trial's potentials and the
+/// temperature its bracket grows from — never what it converges to, so a
+/// hinted result equals the unhinted one to round-off (<= 1e-12, tested).
+/// The solver itself holds no state between calls.
 
 #include <array>
 #include <span>
@@ -34,6 +38,10 @@ struct EquilibriumResult {
   double h;                       ///< specific enthalpy [J/kg]
   double e;                       ///< specific internal energy [J/kg]
   double gamma_eff;               ///< p/(rho e_thermal)+1 effective exponent
+  /// Converged element potentials (pi..., ln N per kg), the start a
+  /// hinted solve_ph seeds from; empty when Newton was only loosely
+  /// accepted (no converged potentials to carry over).
+  std::vector<double> potentials;
 };
 
 /// Equilibrium solver for a fixed SpeciesSet and elemental abundance.
@@ -60,8 +68,13 @@ class EquilibriumSolver {
   EquilibriumResult solve_rho_e(double rho, double e) const;
 
   /// Composition at fixed pressure and specific enthalpy (the natural
-  /// query for stagnation-line/boundary-layer solvers).
-  EquilibriumResult solve_ph(double p, double h) const;
+  /// query for stagnation-line/boundary-layer solvers). Unhinted, the
+  /// temperature is bracketed by [150, 40000] K. With \p hint (a state of
+  /// this solver, at any p and h), the first trial starts from the hint's
+  /// potentials and the bracket grows geometrically from the hint's
+  /// temperature; the answer is the same to round-off either way.
+  EquilibriumResult solve_ph(double p, double h,
+                             const EquilibriumResult* hint = nullptr) const;
 
   /// Equilibrium sound speed at a converged state via centered finite
   /// differences of p(rho, s) along isentropes (numerical, but exact wrt
@@ -80,7 +93,7 @@ class EquilibriumSolver {
  private:
   /// Per-call Newton workspace plus the states converged so far in that
   /// call (defined in equilibrium.cpp). It lives on the stack of one public
-  /// call, so no result depends on an earlier call.
+  /// call; only an explicit hint carries a state from an earlier call.
   struct Scratch;
   struct Trial;
 
@@ -105,7 +118,8 @@ class EquilibriumSolver {
   bool solve_cold(double t, double p, Scratch& ws) const;
 
   /// Composition at (t, p), warm-started from the nearest state this call
-  /// already converged, and remembered for the rest of the call.
+  /// already converged (or, before any, from the caller's hint), and
+  /// remembered for the rest of the call.
   const Trial& evaluate(double t, double p, Scratch& ws) const;
 
   EquilibriumResult package(const Trial& st) const;

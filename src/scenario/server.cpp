@@ -110,7 +110,10 @@ Server::Server(const ServerOptions& opt) : opt_(opt) {
 
 Server::~Server() { shutdown(); }
 
-void Server::shutdown() { queue_->shutdown(); }
+void Server::shutdown() {
+  accepting_.store(false, std::memory_order_release);
+  queue_->shutdown();
+}
 
 std::size_t Server::preload_tables(const std::string& dir) {
   namespace fs = std::filesystem;
@@ -138,8 +141,7 @@ Server::Shard& Server::shard_for(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-ServeReply Server::compute(const Case& c) {
-  ServeReply r;
+bool Server::answer_tier0(const Case& c, ServeReply& r) {
   r.case_name = c.name;
   const bool point = c.condition.velocity_mps > 0.0;
   const bool tier0 = c.fidelity == Fidelity::kSurrogate ||
@@ -155,7 +157,7 @@ ServeReply Server::compute(const Case& c) {
       r.tier = "surrogate";
       r.metrics = res.metrics;
       bump(kServedSurrogate);
-      return r;
+      return true;
     } catch (const Error&) {
       // No registered table covers this state: drop one rung.
     }
@@ -172,13 +174,21 @@ ServeReply Server::compute(const Case& c) {
       r.tier = "correlation";
       r.metrics = res.metrics;
       bump(kServedCorrelation);
-      return r;
+      return true;
     } catch (const Error&) {
       // Solver gave up: last rung below.
     } catch (const std::invalid_argument&) {
       // Case shape the correlation tier cannot express (CAT_REQUIRE).
     }
   }
+  return false;
+}
+
+ServeReply Server::solve(const Case& c) {
+  ServeReply r;
+  r.case_name = c.name;
+  const bool tier0 = c.fidelity == Fidelity::kSurrogate ||
+                     c.fidelity == Fidelity::kCorrelation;
 
   // Tier 3: the full hierarchy. Tier-0 requests that fell through run at
   // the smoke preset (the cheapest truth); explicit full-fidelity
@@ -210,10 +220,41 @@ ServeReply Server::compute(const Case& c) {
   }
 }
 
+void Server::resolve(Shard& shard, const std::string& key, Pending& pending,
+                     ServeReply r) {
+  {
+    cat::MutexLock lock(shard.mu);
+    // Only successes are cached — a transient failure (e.g. a table
+    // registered later) must stay retryable.
+    if (r.ok) shard.cache.emplace(key, r);
+    shard.inflight.erase(key);
+  }
+  {
+    cat::MutexLock lock(pending.mu);
+    pending.reply = std::move(r);
+    pending.done = true;
+  }
+  pending.cv.notify_all();
+}
+
+void Server::reject_shutdown(const Case& c, Shard& shard,
+                             const std::string& key, Pending& pending) {
+  // Resolve the pending slot so coalesced waiters (and the owner) get a
+  // definite answer.
+  bump(kErrors);
+  ServeReply r;
+  r.case_name = c.name;
+  r.error = "server is shutting down";
+  resolve(shard, key, pending, std::move(r));
+}
+
 ServeReply Server::serve(const Case& c) {
   bump(kRequests);
   const std::string key = canonical_case_key(c);
-  if (key.empty()) return compute(c);  // uncacheable: compute in-place
+  if (key.empty()) {  // uncacheable: the whole ladder in place
+    ServeReply r;
+    return answer_tier0(c, r) ? r : solve(c);
+  }
 
   Shard& shard = shard_for(key);
   std::shared_ptr<Pending> pending;
@@ -238,38 +279,19 @@ ServeReply Server::serve(const Case& c) {
   }
 
   if (owner) {
-    const bool queued = queue_->submit([this, c, key, &shard, pending] {
-      ServeReply r = compute(c);
-      {
-        cat::MutexLock lock(shard.mu);
-        // Only successes are cached — a transient failure (e.g. a table
-        // registered later) must stay retryable.
-        if (r.ok) shard.cache.emplace(key, r);
-        shard.inflight.erase(key);
-      }
-      {
-        cat::MutexLock lock(pending->mu);
-        pending->reply = std::move(r);
-        pending->done = true;
-      }
-      pending->cv.notify_all();
-    });
-    if (!queued) {
-      // Shutdown raced the submit: resolve the pending slot ourselves so
-      // coalesced waiters (and we) get a definite answer.
-      bump(kErrors);
-      {
-        cat::MutexLock lock(shard.mu);
-        shard.inflight.erase(key);
-      }
-      {
-        cat::MutexLock lock(pending->mu);
-        pending->reply.ok = false;
-        pending->reply.case_name = c.name;
-        pending->reply.error = "server is shutting down";
-        pending->done = true;
-      }
-      pending->cv.notify_all();
+    // Tiers 1-2 cost microseconds, less than the two thread hand-offs of
+    // a queued job, so the owner answers them on its own thread. Only a
+    // full solve goes to the queue, where the request timeout applies.
+    ServeReply r;
+    if (!accepting_.load(std::memory_order_acquire)) {
+      reject_shutdown(c, shard, key, *pending);
+    } else if (answer_tier0(c, r)) {
+      resolve(shard, key, *pending, std::move(r));
+    } else if (!queue_->submit([this, c, key, &shard, pending] {
+                 resolve(shard, key, *pending, solve(c));
+               })) {
+      // Shutdown raced the submit.
+      reject_shutdown(c, shard, key, *pending);
     }
   } else {
     bump(kCoalesced);

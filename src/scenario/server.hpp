@@ -13,8 +13,9 @@
 ///      returns in well under a microsecond.
 ///   3. coalescing — a second request for a key already being computed
 ///      waits on the first's completion instead of recomputing.
-///   4. async compute — the owner submits the job to a bounded
-///      core::JobQueue over the server's ThreadPool and waits with a
+///   4. compute — the owner answers the table and correlation rungs (~us)
+///      on its own thread. A full solve goes to a bounded core::JobQueue
+///      over the server's ThreadPool, and the owner waits for it with a
 ///      per-request timeout; on timeout the caller gets a timeout reply
 ///      while the job keeps running and still populates the cache.
 ///
@@ -43,7 +44,7 @@ struct ServerOptions {
   std::size_t threads = 1;      ///< worker width (0 = hardware)  // cat-lint: dimensionless
   std::size_t cache_shards = 8;    ///< cache shard count  // cat-lint: dimensionless
   std::size_t queue_capacity = 64; ///< bounded queue depth  // cat-lint: dimensionless
-  double request_timeout_s = 60.0; ///< [s] per-request wait budget
+  double request_timeout_s = 60.0; ///< [s] per-request wait for a full solve
   /// Directory whose *.surrogate.bin tables are registered at startup
   /// (empty = no preload).
   std::string table_dir;
@@ -99,7 +100,7 @@ class Server {
 
   ServeStats stats() const;
 
-  /// Stop accepting compute jobs and drain the queue. serve() calls
+  /// Stop computing new keys and drain the queue. serve() calls
   /// arriving afterwards still answer from the cache but report an error
   /// instead of scheduling new work. Idempotent.
   void shutdown();
@@ -108,7 +109,16 @@ class Server {
   struct Pending;
   struct Shard;
 
-  ServeReply compute(const Case& c);
+  /// Table, then correlation rung; false when neither answers \p c.
+  bool answer_tier0(const Case& c, ServeReply& r);
+  /// The full-solve rung.
+  ServeReply solve(const Case& c);
+  /// Cache a successful \p r, retire the in-flight slot, wake its waiters.
+  void resolve(Shard& shard, const std::string& key, Pending& pending,
+               ServeReply r);
+  /// Resolve a new key refused because the server is shutting down.
+  void reject_shutdown(const Case& c, Shard& shard, const std::string& key,
+                       Pending& pending);
   Shard& shard_for(const std::string& key);
 
   ServerOptions opt_;
@@ -130,6 +140,8 @@ class Server {
     counters_[c].fetch_add(1, std::memory_order_relaxed);
   }
   std::array<std::atomic<std::size_t>, kNCounters> counters_{};
+  /// Cleared by shutdown(): no new key is computed afterwards.
+  std::atomic<bool> accepting_{true};
 
   // Pool before queue: the queue's drain loops park inside the pool, so
   // the queue must shut down (member order: destroyed first) before the

@@ -38,17 +38,21 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
 
   // Equilibrium Rankine-Hugoniot: the shared Rayleigh-pitot density-ratio
   // fixed point (solvers/vsl), which throws on a stalled iteration instead
-  // of exiting silently; the post-shock state is then re-evaluated once at
-  // the converged ratio. This solver keeps its own stagnation-pressure
-  // closure (p2 + recovered post-shock kinetic head) below.
+  // of exiting silently. Successive iterates sit at nearly the same
+  // (p2, h2), so each inversion is hinted by the previous one. The loop
+  // stops on the iterate that met its tolerance without updating eps, so
+  // its last state is the post-shock state at the converged ratio. This
+  // solver keeps its own stagnation-pressure closure (p2 + recovered
+  // post-shock kinetic head) below.
+  gas::EquilibriumResult post;
   const PitotSolution pitot = solve_rayleigh_pitot(
-      [this](double p2, double h2) { return eq_.solve_ph(p2, h2).rho; },
+      [this, &post](double p2, double h2) {
+        post = eq_.solve_ph(p2, h2, post.x.empty() ? nullptr : &post);
+        return post.rho;
+      },
       {v, c.rho_inf, c.p_inf, c.t_inf}, h1, /*eps0=*/0.1,
       /*max_iters=*/120);
   const double eps = pitot.eps;
-  const gas::EquilibriumResult post =
-      eq_.solve_ph(c.p_inf + c.rho_inf * v * v * (1.0 - eps),
-                   h1 + 0.5 * v * v * (1.0 - eps * eps));
 
   ShockLayerEdge e;
   e.rho2 = post.rho;
@@ -60,7 +64,7 @@ ShockLayerEdge StagnationLineSolver::shock_layer_edge(
   // Stagnation edge: recover the small post-shock kinetic head.
   e.p_stag = e.p2 + 0.5 * e.rho2 * e.u2 * e.u2;
   e.h_stag = h1 + 0.5 * v * v;
-  stag = eq_.solve_ph(e.p_stag, e.h_stag);
+  stag = eq_.solve_ph(e.p_stag, e.h_stag, &post);
   e.t_stag = stag.t;
   e.rho_stag = stag.rho;
   // Shock standoff: classic blunt-body correlation delta = 0.78 eps R.
@@ -72,8 +76,9 @@ StagnationSolution StagnationLineSolver::solve(
     const StagnationConditions& c) const {
   gas::EquilibriumResult stag;  // equilibrium state at (p_stag, h_stag)
   const ShockLayerEdge edge = shock_layer_edge(c, stag);
-  // Wall enthalpy at T_w: cold equilibrium composition at the wall.
-  const double h_wall = eq_.solve_tp(c.wall_temperature_K, edge.p_stag).h;
+  // Wall state at T_w: cold equilibrium composition at the wall.
+  const auto wall_tp = eq_.solve_tp(c.wall_temperature_K, edge.p_stag);
+  const double h_wall = wall_tp.h;
   // The similarity formulation normalizes by the edge total enthalpy; it
   // requires genuinely hypersonic conditions (h_e well above the wall
   // enthalpy). Below that the boundary-layer problem is not the one this
@@ -87,8 +92,10 @@ StagnationSolution StagnationLineSolver::solve(
   transport::MixtureTransport trans(mix);
 
   // ---- enthalpy-parameterized property tables across the layer --------
-  // g = h/h_edge in [g_wall*0.8, 1.02]; all states at p = p_stag.
-  const auto wall_state = eq_.solve_ph(edge.p_stag, h_wall);
+  // g = h/h_edge in [g_wall*0.8, 1.02]; all states at p = p_stag. The
+  // wall state is hinted by the (T_w, p_stag) state whose enthalpy it
+  // inverts, and each table node by its neighbour.
+  const auto wall_state = eq_.solve_ph(edge.p_stag, h_wall, &wall_tp);
   const double h_e = edge.h_stag;
   const double g_w = wall_state.h / h_e;
   const double g_lo = std::min(g_w * 0.8, g_w - 1e-4);
@@ -99,11 +106,12 @@ StagnationSolution StagnationLineSolver::solve(
       t_tab(nt), mu_tab(nt);
   std::vector<std::vector<double>> x_tab(nt);
   const double rho_e_mu_e = stag.rho * trans.viscosity(stag.y, stag.t);
+  gas::EquilibriumResult st = wall_state;
   for (std::size_t k = 0; k < nt; ++k) {
     const double g =
         g_lo + (g_hi - g_lo) * static_cast<double>(k) /
                    static_cast<double>(nt - 1);
-    const auto st = eq_.solve_ph(edge.p_stag, g * h_e);
+    st = eq_.solve_ph(edge.p_stag, g * h_e, &st);
     const double mu = trans.viscosity(st.y, st.t);
     const double pr = trans.prandtl(st.y, st.t);
     g_nodes[k] = g;

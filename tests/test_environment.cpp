@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "atmosphere/atmosphere.hpp"
 #include "gas/constants.hpp"
@@ -65,6 +70,122 @@ TEST(Atmosphere, TitanColderAndDeeperThanEarth) {
   // Titan's atmosphere has a much larger scale height/extent: pressure at
   // 200 km on Titan far exceeds Earth's.
   EXPECT_GT(titan.at(200000.0).pressure, 100.0 * earth.at(200000.0).pressure);
+}
+
+// ---- tabulated atmospheres vs the walk from the surface ----
+// Both models read precomputed layer/slab-boundary states and apply only
+// the final partial layer. The oracles below are the walks they replaced,
+// copied verbatim: the tables must reproduce them bit for bit, including
+// at exact boundaries, one ulp either side, and the top of each model.
+
+atmosphere::AtmoState earth_layer_walk(double z) {
+  constexpr double kAirR = 287.053, kAirGamma = 1.4, kEarthG = 9.80665;
+  struct Layer {
+    double z_base, lapse;
+  };
+  constexpr Layer kLayers[] = {{0.0, -6.5e-3},     {11000.0, 0.0},
+                               {20000.0, 1.0e-3},  {32000.0, 2.8e-3},
+                               {47000.0, 0.0},     {51000.0, -2.8e-3},
+                               {71000.0, -2.0e-3}};
+  constexpr std::size_t kN = 7;
+  constexpr double kZTop = 86000.0;
+  double t = 288.15, p = 101325.0, zb = 0.0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double z_next = (i + 1 < kN) ? kLayers[i + 1].z_base : kZTop;
+    const double dz = std::min(z, z_next) - zb;
+    const double lapse = kLayers[i].lapse;
+    if (dz > 0.0) {
+      if (std::fabs(lapse) < 1e-12) {
+        p *= std::exp(-kEarthG * dz / (kAirR * t));
+      } else {
+        const double t_new = t + lapse * dz;
+        p *= std::pow(t_new / t, -kEarthG / (kAirR * lapse));
+        t = t_new;
+      }
+      zb += dz;
+    }
+    if (z <= z_next) break;
+  }
+  if (z > kZTop) {
+    const double h = kAirR * t / kEarthG;
+    p *= std::exp(-(z - kZTop) / h);
+    t = t + 2.0e-3 * (z - kZTop);
+  }
+  return {t, p, p / (kAirR * t), std::sqrt(kAirGamma * kAirR * t)};
+}
+
+atmosphere::AtmoState titan_slab_walk(double z) {
+  const double t = z < 40000.0
+                       ? 94.0 + (130.0 - 94.0) * z / 40000.0
+                       : (z < 200000.0
+                              ? 130.0 + (170.0 - 130.0) * (z - 40000.0) /
+                                    160000.0
+                              : 170.0);
+  const double mbar = TitanAtmosphere::kMoleFractionN2 * 28.0134e-3 +
+                      TitanAtmosphere::kMoleFractionCH4 * 16.0425e-3;
+  const double r_gas = gas::constants::kRu / mbar;
+  double p = 1.5e5, z_cur = 0.0;
+  const double g = gas::constants::kTitanG0;
+  while (z_cur < z) {
+    const double dz = std::min(1000.0, z - z_cur);
+    const double z_mid = z_cur + 0.5 * dz;
+    const double t_mid =
+        z_mid < 40000.0
+            ? 94.0 + 36.0 * z_mid / 40000.0
+            : (z_mid < 200000.0 ? 130.0 + 40.0 * (z_mid - 40000.0) / 160000.0
+                                : 170.0);
+    p *= std::exp(-g * dz / (r_gas * t_mid));
+    z_cur += dz;
+  }
+  return {t, p, p / (r_gas * t), std::sqrt(1.4 * r_gas * t)};
+}
+
+// Each boundary, one ulp either side of it (inside [lo, hi]), and a
+// seeded uniform sample of the range.
+std::vector<double> boundary_and_sample_altitudes(
+    const std::vector<double>& boundaries, double lo, double hi,
+    std::size_t n_sample) {
+  std::vector<double> zs;
+  for (double b : boundaries) {
+    for (double z : {std::nextafter(b, -1e9), b, std::nextafter(b, 1e9)})
+      if (z >= lo && z <= hi) zs.push_back(z);
+  }
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> u(lo, hi);
+  for (std::size_t k = 0; k < n_sample; ++k) zs.push_back(u(rng));
+  return zs;
+}
+
+void expect_bit_identical(const atmosphere::AtmoState& got,
+                          const atmosphere::AtmoState& want, double z) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.temperature),
+            std::bit_cast<std::uint64_t>(want.temperature)) << "z=" << z;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.pressure),
+            std::bit_cast<std::uint64_t>(want.pressure)) << "z=" << z;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.density),
+            std::bit_cast<std::uint64_t>(want.density)) << "z=" << z;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sound_speed),
+            std::bit_cast<std::uint64_t>(want.sound_speed)) << "z=" << z;
+}
+
+TEST(Atmosphere, EarthTableMatchesLayerWalk) {
+  const EarthAtmosphere atmo;
+  const std::vector<double> boundaries = {-500.0,  0.0,     11000.0,
+                                          20000.0, 32000.0, 47000.0,
+                                          51000.0, 71000.0, 86000.0,
+                                          200000.0};
+  for (double z : boundary_and_sample_altitudes(boundaries, -500.0, 200000.0,
+                                                50000))
+    expect_bit_identical(atmo.at(z), earth_layer_walk(z), z);
+}
+
+TEST(Atmosphere, TitanTableMatchesLayerWalk) {
+  const TitanAtmosphere atmo;
+  std::vector<double> boundaries;
+  for (int k = 0; k <= 1200; ++k) boundaries.push_back(1000.0 * k);
+  for (double z :
+       boundary_and_sample_altitudes(boundaries, 0.0, 1.2e6, 20000))
+    expect_bit_identical(atmo.at(z), titan_slab_walk(z), z);
 }
 
 TEST(Trajectory, BallisticProbeDecelerates) {

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/error.hpp"
 #include "gas/equilibrium.hpp"
@@ -223,6 +225,67 @@ TEST(Equilibrium, PhSolveMatchesColdTpAir11) {
 
 TEST(Equilibrium, PhSolveMatchesColdTpTitan) {
   expect_ph_matches_cold_tp(
+      EquilibriumSolver(make_titan(), {{"N2", 0.95}, {"CH4", 0.05}}));
+}
+
+// A hint changes only where solve_ph starts (the first trial's potentials
+// and the temperature its bracket grows from); Brent still closes the
+// bracket to 1e-10 K, so hinted and unhinted answers agree to round-off
+// whatever the hint: near, far (a 300 K hint for a 20000 K answer and the
+// reverse), at another pressure, without potentials, or at either clamp
+// end. Mole fractions compare absolutely (see above). The two answers may
+// sit up to Brent's tolerance apart in T, so h compares against the
+// enthalpy scale of the state (|h| + cp T, cp ~ 1 kJ/(kg K)) rather than
+// |h| alone, which vanishes near 298 K.
+void expect_hinted_ph_matches_unhinted(const EquilibriumSolver& solver) {
+  for (double p : {1.0e2, 1.0e4, 1.0e6}) {
+    const auto lo_end = solver.solve_tp(150.0, p);
+    const auto hi_end = solver.solve_tp(40000.0, p);
+    for (double t : {150.0, 300.0, 1200.0, 3000.0, 5500.0, 9000.0, 14000.0,
+                     20000.0, 32000.0, 40000.0}) {
+      const double h = solver.solve_tp(t, p).h;
+      const auto plain = solver.solve_ph(p, h);
+      const auto near = solver.solve_tp(std::min(t * 1.03, 40000.0), p);
+      auto bare = near;
+      bare.potentials.clear();
+      const EquilibriumResult hints[] = {
+          near,
+          solver.solve_tp(t * 0.97, p),                      // near, below
+          solver.solve_tp(t < 5000.0 ? 20000.0 : 300.0, p),  // far
+          solver.solve_tp(t, p < 1e5 ? p * 100.0 : p / 100.0),  // other p
+          bare,
+          lo_end,
+          hi_end};
+      for (const auto& hint : hints) {
+        const auto r = solver.solve_ph(p, h, &hint);
+        const std::string where = "T=" + std::to_string(t) +
+                                  " p=" + std::to_string(p) +
+                                  " hint T=" + std::to_string(hint.t);
+        ASSERT_EQ(r.x.size(), plain.x.size());
+        for (std::size_t s = 0; s < r.x.size(); ++s)
+          EXPECT_NEAR(r.x[s], plain.x[s], 1e-12) << "species " << s << " "
+                                                 << where;
+        const double dt = std::fabs(r.t - plain.t) / plain.t;
+        const double dh = std::fabs(r.h - plain.h) /
+                          (std::fabs(plain.h) + 1.0e3 * plain.t);
+        EXPECT_LE(dt, 1e-12) << where;
+        EXPECT_LE(dh, 1e-12) << where;
+        EXPECT_EQ(r.p, p) << where;
+      }
+    }
+  }
+}
+
+TEST(Equilibrium, HintedPhMatchesUnhintedAir5) {
+  expect_hinted_ph_matches_unhinted(air_solver(make_air5()));
+}
+
+TEST(Equilibrium, HintedPhMatchesUnhintedAir11) {
+  expect_hinted_ph_matches_unhinted(air_solver(make_air11()));
+}
+
+TEST(Equilibrium, HintedPhMatchesUnhintedTitan) {
+  expect_hinted_ph_matches_unhinted(
       EquilibriumSolver(make_titan(), {{"N2", 0.95}, {"CH4", 0.05}}));
 }
 

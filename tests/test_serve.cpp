@@ -281,8 +281,8 @@ TEST(Serve, IdenticalConcurrentRequestsCoalesceToOneCompute) {
   scenario::ServerOptions opt;
   opt.threads = 4;
   scenario::Server server(opt);
-  // An explicit smoke solve (tens of ms) — a window wide enough for the
-  // clients to pile up on the one in-flight computation.
+  // An explicit smoke solve (~1.5 ms) — a window for the clients to pile
+  // up on the one in-flight computation; late ones hit the cache.
   scenario::Case c = anchor_case();
   c.fidelity = scenario::Fidelity::kSmoke;
 
@@ -310,10 +310,13 @@ TEST(Serve, TimedOutRequestReportsAndTheJobStillLands) {
   const RegistryCleaner cleaner;
   scenario::ServerOptions opt;
   opt.threads = 2;
-  opt.request_timeout_s = 1e-4;  // far below a smoke solve
+  opt.request_timeout_s = 1e-4;  // far below the solve below
   scenario::Server server(opt);
-  scenario::Case c = anchor_case();
-  c.fidelity = scenario::Fidelity::kSmoke;  // tens of ms: must time out
+  // A smoke heating pulse (~70 ms serial): a smoke stagnation-point solve
+  // takes ~1.5 ms, short enough that a client descheduled past its
+  // timeout on a loaded host could find it already done.
+  scenario::Case c = *scenario::find_scenario("titan_probe_pulse");
+  c.fidelity = scenario::Fidelity::kSmoke;
   const auto r = server.serve(c);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("timed out"), std::string::npos);
@@ -324,6 +327,35 @@ TEST(Serve, TimedOutRequestReportsAndTheJobStillLands) {
   const auto cached = server.serve(c);
   ASSERT_TRUE(cached.ok) << cached.error;
   EXPECT_TRUE(cached.from_cache);
+}
+
+TEST(Serve, TableAndCorrelationMissesDoNotWaitForTheQueue) {
+  const RegistryCleaner cleaner;
+  scenario::register_surrogate(anchor_table());
+  scenario::ServerOptions opt;
+  opt.threads = 1;
+  opt.request_timeout_s = 1e-4;
+  scenario::Server server(opt);
+  // Occupy the only worker with a smoke heating pulse (~70 ms serial);
+  // its own request times out while the job keeps running.
+  scenario::Case busy = *scenario::find_scenario("titan_probe_pulse");
+  busy.fidelity = scenario::Fidelity::kSmoke;
+  (void)server.serve(busy);
+  const std::size_t timeouts = server.stats().timeouts;
+  // Fresh table and correlation keys are answered on the calling thread,
+  // inside a budget a job queued behind the pulse would miss.
+  const auto table = server.serve(anchor_case());
+  ASSERT_TRUE(table.ok) << table.error;
+  EXPECT_EQ(table.tier, "surrogate");
+  scenario::Case corr = anchor_case();
+  corr.fidelity = scenario::Fidelity::kCorrelation;
+  const auto correlation = server.serve(corr);
+  ASSERT_TRUE(correlation.ok) << correlation.error;
+  EXPECT_EQ(correlation.tier, "correlation");
+  EXPECT_EQ(server.stats().timeouts, timeouts);
+  // Both answers were cached like queued ones.
+  EXPECT_TRUE(server.serve(anchor_case()).from_cache);
+  EXPECT_TRUE(server.serve(corr).from_cache);
 }
 
 TEST(Serve, ShutdownRejectsNewComputeButStillServesCache) {

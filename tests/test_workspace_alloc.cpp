@@ -251,6 +251,35 @@ TEST(WorkspaceAlloc, EquilibriumPhSolveAllocsIndependentOfIterationCount) {
       << ", 15000 K: " << allocs_hot << ")";
 }
 
+// A hinted solve_ph adds only the hint's seed view to the same per-call
+// scratch: a hint 3% away and one at the far end of the range take very
+// different numbers of bracket steps, trials and Newton iterations, yet
+// must allocate the same.
+TEST(WorkspaceAlloc, HintedPhSolveAllocsIndependentOfIterationCount) {
+  const gas::EquilibriumSolver eq(gas::make_air11(),
+                                  {{"N2", 0.79}, {"O2", 0.21}});
+  const double p = 1.0e4;
+  const double h = eq.solve_tp(15000.0, p).h;
+  const auto near_hint = eq.solve_tp(14600.0, p);
+  const auto far_hint = eq.solve_tp(300.0, p);
+  std::size_t allocs_near, allocs_far;
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h, &near_hint);
+    allocs_near = scope.count();
+    EXPECT_NEAR(r.t, 15000.0, 1e-6);
+  }
+  {
+    AllocCounterScope scope;
+    const auto r = eq.solve_ph(p, h, &far_hint);
+    allocs_far = scope.count();
+    EXPECT_NEAR(r.t, 15000.0, 1e-6);
+  }
+  EXPECT_EQ(allocs_far, allocs_near)
+      << "hinted Gibbs loop allocated (near hint: " << allocs_near
+      << ", far hint: " << allocs_far << ")";
+}
+
 // ---- tier-0 serving path: correlations + surrogate lookup ----
 
 TEST(WorkspaceAlloc, CorrelationEvaluatorsAreAllocationFree) {

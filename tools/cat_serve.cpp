@@ -59,7 +59,7 @@ void print_usage() {
       "  --port N            serve TCP on 127.0.0.1:N instead\n"
       "  --threads N         worker threads (0 = all cores; default 1)\n"
       "  --tables DIR        preload every *.surrogate.bin under DIR\n"
-      "  --timeout S         per-request timeout seconds (default 60)\n"
+      "  --timeout S         full-solve timeout seconds (default 60)\n"
       "  --shards N          cache shard count (default 8)\n"
       "  --queue N           bounded job-queue capacity (default 64)\n"
       "  --no-solve          disable the full-solve tier (fast tiers only)\n"

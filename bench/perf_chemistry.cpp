@@ -21,9 +21,10 @@ void bench_production_rates(benchmark::State& state,
   y[mech.species_set().local_index("O")] = 0.14;
   y[mech.species_set().local_index("NO")] = 0.01;
   std::vector<double> wdot(ns);
+  chemistry::Workspace ws;
   const double rho = 0.02, t = 8000.0, tv = 6000.0;
   for (auto _ : state) {
-    mech.mass_production_rates(rho, y, t, tv, wdot);
+    mech.mass_production_rates(rho, y, t, tv, wdot, ws);
     benchmark::DoNotOptimize(wdot.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -44,11 +45,12 @@ void bench_production_rates_tsweep(benchmark::State& state,
   y[mech.species_set().local_index("O")] = 0.14;
   y[mech.species_set().local_index("NO")] = 0.01;
   std::vector<double> wdot(ns);
+  chemistry::Workspace ws;
   const double rho = 0.02;
   double t = 8000.0;
   for (auto _ : state) {
     t = t < 12000.0 ? t + 1.0 : 8000.0;  // new temperature every call
-    mech.mass_production_rates(rho, y, t, 0.75 * t, wdot);
+    mech.mass_production_rates(rho, y, t, 0.75 * t, wdot, ws);
     benchmark::DoNotOptimize(wdot.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -2,7 +2,7 @@
 // vs thread-pool execution of one Titan heating pulse (the Fig. 2
 // workload). The pulse points are independent stagnation solves, so the
 // threaded driver should approach linear scaling on a multicore machine
-// (PR 2's thread-local workspaces made the solver stack reentrant);
+// (caller-owned workspaces make the solver stack reentrant);
 // scripts/bench_compare.py --intra pulse_serial:pulse_threaded:<factor>
 // gates the speedup on records from machines with enough cores.
 

@@ -94,6 +94,7 @@ DEFAULT_ALLOC_FREE_TUS = [
     "src/numerics/tridiag_batch.cpp",
     "src/scenario/surrogate_query.cpp",
     "src/solvers/correlations/correlations.cpp",
+    "src/solvers/relax1d/relax1d.cpp",
 ]
 
 # Physics-layer headers whose Case/FlightCondition/*Options structs carry

@@ -24,12 +24,6 @@ double pow_int(double base, int e) {
   return neg ? 1.0 / r : r;
 }
 
-/// Per-thread scratch backing the workspace-free convenience overloads.
-Workspace& tls_workspace() {
-  thread_local Workspace ws;
-  return ws;
-}
-
 }  // namespace
 
 int Reaction::delta_nu() const {
@@ -300,12 +294,6 @@ void Mechanism::mass_production_rates(double rho, std::span<const double> y,
     wdot_mass[s] = ws.wdot_mole[s] * molar_mass_[s];
 }
 
-void Mechanism::mass_production_rates(double rho, std::span<const double> y,
-                                      double t, double tv,
-                                      std::span<double> wdot_mass) const {
-  mass_production_rates(rho, y, t, tv, wdot_mass, tls_workspace());
-}
-
 void Mechanism::update_vibronic_energies(Workspace& ws, double tv) const {
   if (ws.vib_e_key == tv) return;
   for (std::size_t s = 0; s < n_species(); ++s) {
@@ -335,29 +323,6 @@ double Mechanism::chemistry_vibronic_source(std::span<const double> c,
   ws.bind(*this);
   production_rates(c, t, tv, ws.wdot_mole, ws);
   return vibronic_source_from_rates(ws.wdot_mole, tv, ws);
-}
-
-double Mechanism::chemistry_vibronic_source(std::span<const double> c,
-                                            double t, double tv) const {
-  return chemistry_vibronic_source(c, t, tv, tls_workspace());
-}
-
-double Mechanism::chemical_time_scale(std::span<const double> c, double t,
-                                      double tv, Workspace& ws) const {
-  ws.bind(*this);
-  production_rates(c, t, tv, ws.wdot_mole, ws);
-  double tau = 1e30;
-  for (std::size_t s = 0; s < n_species(); ++s) {
-    if (std::fabs(ws.wdot_mole[s]) < 1e-300) continue;
-    const double cs = std::max(c[s], 1e-12);
-    tau = std::min(tau, cs / std::fabs(ws.wdot_mole[s]));
-  }
-  return tau;
-}
-
-double Mechanism::chemical_time_scale(std::span<const double> c, double t,
-                                      double tv) const {
-  return chemical_time_scale(c, t, tv, tls_workspace());
 }
 
 }  // namespace cat::chemistry

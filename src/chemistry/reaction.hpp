@@ -11,13 +11,11 @@
 /// composition the equilibrium solver would produce — the consistency the
 /// paper demands between chemistry modeling and flowfield coupling.
 ///
-/// Hot-path convention: every rate kernel has an overload taking a
-/// chemistry::Workspace (see workspace.hpp) that evaluates with zero heap
+/// Hot-path convention: every rate kernel takes a caller-owned
+/// chemistry::Workspace (see workspace.hpp) and evaluates with zero heap
 /// allocations, per-species Gibbs energies computed once per temperature
 /// (not per stoichiometric entry), and log-space Arrhenius rates (one exp
-/// per reaction). The workspace-free overloads forward through a
-/// thread-local workspace, so existing call sites keep the same signatures
-/// and still get the fast path.
+/// per reaction).
 
 #include <cstdint>
 #include <string>
@@ -95,14 +93,12 @@ class Mechanism {
   void production_rates(std::span<const double> c, double t, double tv,
                         std::span<double> wdot, Workspace& ws) const;
 
-  /// Mass production rates [kg/(m^3 s)] from mass state (rho, y). The
-  /// workspace form leaves the molar rates in ws.wdot_mole for reuse (e.g.
+  /// Mass production rates [kg/(m^3 s)] from mass state (rho, y). Leaves
+  /// the molar rates in ws.wdot_mole for reuse (e.g.
   /// vibronic_source_from_rates).
   void mass_production_rates(double rho, std::span<const double> y, double t,
                              double tv, std::span<double> wdot_mass,
                              Workspace& ws) const;
-  void mass_production_rates(double rho, std::span<const double> y, double t,
-                             double tv, std::span<double> wdot_mass) const;
 
   /// SoA batch forms (chemistry/batch.hpp, implemented in batch.cpp):
   /// evaluate n = t.size() cells per call. \p c / \p wdot / \p y /
@@ -127,8 +123,6 @@ class Mechanism {
   /// average vibronic energy.
   double chemistry_vibronic_source(std::span<const double> c, double t,
                                    double tv, Workspace& ws) const;
-  double chemistry_vibronic_source(std::span<const double> c, double t,
-                                   double tv) const;
 
   /// Same vibronic source from already-computed molar production rates
   /// (typically ws.wdot_mole after a rate-kernel call), skipping the
@@ -136,14 +130,6 @@ class Mechanism {
   /// would cost.
   double vibronic_source_from_rates(std::span<const double> wdot_mole,
                                     double tv, Workspace& ws) const;
-
-  /// Characteristic chemical time [s]: min over species of
-  /// c_s / |wdot_s| (bounded below); used for stiffness diagnostics and
-  /// operator-split step control.
-  double chemical_time_scale(std::span<const double> c, double t, double tv,
-                             Workspace& ws) const;
-  double chemical_time_scale(std::span<const double> c, double t,
-                             double tv) const;
 
  private:
   friend struct Workspace;

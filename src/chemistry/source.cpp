@@ -63,7 +63,7 @@ void IsochoricReactor::advance_coupled(State& state, double rho,
   u_scratch_.resize(ns + 1);  // cat-lint: allow-alloc (no-op after 1st call)
   std::copy(state.y.begin(), state.y.end(), u_scratch_.begin());
   u_scratch_[ns] = state.t;
-  numerics::StiffIntegrator integ(rhs, nullptr, stiff_opt_);
+  numerics::StiffIntegrator integ(rhs, stiff_opt_);
   integ.integrate(0.0, dt, std::span<double>(u_scratch_), stiff_);
   std::copy(u_scratch_.begin(), u_scratch_.begin() + ns, state.y.begin());
   gas::Mixture::clean_mass_fractions(state.y);
@@ -91,7 +91,7 @@ void IsochoricReactor::advance_split(State& state, double rho,
   };
   u_scratch_.resize(ns);  // cat-lint: allow-alloc (no-op after 1st call)
   std::copy(state.y.begin(), state.y.end(), u_scratch_.begin());
-  numerics::StiffIntegrator integ(rhs, nullptr, stiff_opt_);
+  numerics::StiffIntegrator integ(rhs, stiff_opt_);
   integ.integrate(0.0, dt, std::span<double>(u_scratch_), stiff_);
   std::copy(u_scratch_.begin(), u_scratch_.end(), state.y.begin());
   gas::Mixture::clean_mass_fractions(state.y);
@@ -183,7 +183,7 @@ void TwoTemperatureReactor::advance(State& state, double rho,
   std::copy(state.y.begin(), state.y.end(), u_scratch_.begin());
   u_scratch_[ns] = state.t;
   u_scratch_[ns + 1] = state.tv;
-  numerics::StiffIntegrator integ(rhs, nullptr, stiff_opt_);
+  numerics::StiffIntegrator integ(rhs, stiff_opt_);
   integ.integrate(0.0, dt, std::span<double>(u_scratch_), stiff_);
   std::copy(u_scratch_.begin(), u_scratch_.begin() + ns, state.y.begin());
   gas::Mixture::clean_mass_fractions(state.y);

@@ -2,10 +2,11 @@
 /// \file workspace.hpp
 /// Preallocated scratch state for the zero-allocation chemistry hot path.
 ///
-/// Workspace-parameter convention (used across chemistry/, numerics/ode and
-/// the reactor RHS closures): every hot-path kernel has an overload taking a
-/// caller-owned workspace that holds all per-call temporaries, so repeated
-/// evaluation performs zero heap allocations. The workspace also memoizes
+/// Workspace-parameter convention (used across chemistry/, numerics/ode,
+/// the reactor RHS closures and the shock-tube relaxation): every hot-path
+/// kernel takes a caller-owned workspace that holds all per-call
+/// temporaries — there is no workspace-free form — so repeated evaluation
+/// performs zero heap allocations. The workspace also memoizes
 /// temperature-keyed intermediates — per-species Gibbs energies and
 /// per-reaction forward/backward rate coefficients depend only on (T, Tv),
 /// so re-evaluations at an unchanged temperature (every species column of a

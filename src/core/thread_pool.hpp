@@ -9,8 +9,8 @@
 /// counter, so scheduling is dynamic (good load balance across uneven
 /// stagnation solves) while every result lands in its own preallocated
 /// slot — output is bitwise identical for any thread count as long as the
-/// per-item work itself is deterministic. The PR 2 workspace refactor made
-/// the chemistry/thermo kernels reentrant (thread_local workspaces, const
+/// per-item work itself is deterministic. The chemistry/thermo kernels are
+/// reentrant (caller-owned workspaces held per solve or per reactor, const
 /// solve paths), which is what makes concurrent solver calls safe.
 ///
 /// All shared state carries Clang thread-safety annotations

@@ -221,15 +221,6 @@ double TwoTemperatureGas::relaxation_time(std::size_t s,
 
 double TwoTemperatureGas::landau_teller_source(double rho,
                                                std::span<const double> y,
-                                               double t, double tv,
-                                               double p) const {
-  // cat-lint: allow-alloc (convenience overload; hot callers pass scratch)
-  std::vector<double> x(n_species());
-  return landau_teller_source(rho, y, t, tv, p, x);
-}
-
-double TwoTemperatureGas::landau_teller_source(double rho,
-                                               std::span<const double> y,
                                                double t, double tv, double p,
                                                std::span<double> x_scratch) const {
   CAT_REQUIRE(x_scratch.size() >= n_species(), "scratch size mismatch");

@@ -61,11 +61,8 @@ class TwoTemperatureGas {
 
   /// Landau-Teller vibrational energy source [W/m^3]:
   ///   Q = sum_s rho_s (e_v,s(T) - e_v,s(Tv)) / tau_s
-  double landau_teller_source(double rho, std::span<const double> y, double t,
-                              double tv, double p) const;
-
-  /// Allocation-free form (hot-path workspace convention): \p x_scratch is
-  /// caller-owned storage of size n_species() for the mole fractions.
+  /// \p x_scratch is caller-owned storage of at least n_species() for the
+  /// mole fractions (hot-path workspace convention: no allocation).
   double landau_teller_source(double rho, std::span<const double> y, double t,
                               double tv, double p,
                               std::span<double> x_scratch) const;

@@ -8,10 +8,10 @@
 /// scales "many orders of magnitude wider than the mean-flow time scale" —
 /// the single most complicating factor — and demands an implicit method.
 ///
-/// Hot-path convention: StiffIntegrator has a span-based integrate overload
-/// taking a caller-owned StiffWorkspace, so repeated integrations (one per
-/// reactor advance / operator-split cell) reuse the Jacobian, Newton and LU
-/// storage and allocate nothing in the stepping loop.
+/// Hot-path convention: StiffIntegrator::integrate takes a caller-owned
+/// StiffWorkspace, so repeated integrations (one per reactor advance,
+/// operator-split cell or relaxation sample) reuse the Jacobian, Newton and
+/// LU storage and allocate nothing in the stepping loop.
 
 #include <cstddef>
 #include <functional>
@@ -26,11 +26,6 @@ namespace cat::numerics {
 using OdeRhs =
     std::function<void(double t, std::span<const double> y, std::span<double> dydt)>;
 
-/// Analytic Jacobian J = df/dy (optional for the stiff integrator; a
-/// finite-difference Jacobian is used when absent).
-using OdeJacobian =
-    std::function<void(double t, std::span<const double> y, Matrix& jac)>;
-
 /// One classical 4th-order Runge-Kutta step from t to t+h (y updated).
 void rk4_step(const OdeRhs& f, double t, double h, std::vector<double>& y);
 
@@ -42,16 +37,14 @@ void integrate_rk4(const OdeRhs& f, double t0, double t1, std::size_t nsteps,
 struct AdaptiveOptions {
   double rel_tol = 1e-8;
   double abs_tol = 1e-10;
-  double h_initial = 0.0;     ///< 0 => (t1-t0)/100
-  double h_min = 0.0;         ///< 0 => 1e-14 * |t1-t0|
-  std::size_t max_steps = 2'000'000;
 };
 
 /// Dense observer: called after every accepted step with (t, y).
 using OdeObserver = std::function<void(double t, std::span<const double> y)>;
 
 /// Adaptive Runge-Kutta-Fehlberg 4(5). Returns the number of accepted steps.
-/// Throws cat::SolverError when the step size underflows or max_steps is hit.
+/// The first trial step is (t1-t0)/100; steps never shrink below
+/// 1e-14 |t1-t0|. Throws cat::SolverError after 2,000,000 step attempts.
 std::size_t integrate_rkf45(const OdeRhs& f, double t0, double t1,
                             std::vector<double>& y,
                             const AdaptiveOptions& opt = {},
@@ -64,7 +57,6 @@ struct StiffOptions {
   double rel_tol = 1e-6;
   double abs_tol = 1e-12;
   double h_initial = 1e-10;
-  double h_max = 0.0;          ///< 0 => no cap
   std::size_t max_steps = 500'000;
   std::size_t max_newton = 12;
   bool use_bdf2 = true;        ///< second order after startup
@@ -78,10 +70,10 @@ struct StiffOptions {
 
 /// Reusable scratch state for StiffIntegrator: Jacobian and Newton
 /// iteration matrices, LU pivots, stage vectors, and finite-difference
-/// Jacobian buffers. Hold one per integration context and pass it to the
-/// span-based integrate overload: every allocation then happens at most
-/// once (first use / growth), and repeated integrations — e.g. one per
-/// reactor advance or per operator-split cell — run allocation-free.
+/// Jacobian buffers. Hold one per integration context and pass it to
+/// StiffIntegrator::integrate: every allocation then happens at most once
+/// (first use / growth), and repeated integrations — e.g. one per reactor
+/// advance, operator-split cell or relaxation sample — run allocation-free.
 struct StiffWorkspace {
   Matrix jac, iter_matrix;
   std::vector<double> fval, res, ynew, yprev, lu_scratch;
@@ -93,28 +85,24 @@ struct StiffWorkspace {
 };
 
 /// Implicit stiff integrator: variable-step backward Euler (order 1) with a
-/// BDF2 finisher, damped-Newton inner iterations, and step-size control on
-/// the Newton convergence rate. Designed for chemical-kinetics source terms.
+/// BDF2 finisher, damped-Newton inner iterations on a finite-difference
+/// Jacobian, and step-size control on the Newton convergence rate. Designed
+/// for chemical-kinetics source terms.
 class StiffIntegrator {
  public:
   using Options = StiffOptions;
 
-  StiffIntegrator(OdeRhs f, OdeJacobian jac = nullptr, Options opt = {});
+  explicit StiffIntegrator(OdeRhs f, Options opt = {});
 
-  /// Integrate y from t0 to t1 in place. Span-based fast path: with a
-  /// caller-owned workspace the inner loop performs zero heap allocations
-  /// (given an allocation-free RHS). Returns accepted step count.
+  /// Integrate y from t0 to t1 in place. With the caller-owned workspace the
+  /// inner loop performs zero heap allocations (given an allocation-free
+  /// RHS). Returns accepted step count.
   std::size_t integrate(double t0, double t1, std::span<double> y,
                         StiffWorkspace& ws,
                         const OdeObserver& observer = nullptr) const;
 
-  /// Convenience overload with a per-call workspace.
-  std::size_t integrate(double t0, double t1, std::vector<double>& y,
-                        const OdeObserver& observer = nullptr) const;
-
  private:
   OdeRhs f_;
-  OdeJacobian jac_;
   Options opt_;
 
   void numerical_jacobian(double t, std::span<const double> y,

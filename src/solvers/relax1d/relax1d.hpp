@@ -83,7 +83,10 @@ class PostShockRelaxation {
                          std::span<const double> y_frozen) const;
 
   /// March the relaxation zone. \p y1 is the upstream composition (mass
-  /// fractions; typically cold air: y_N2 = 0.767, y_O2 = 0.233).
+  /// fractions; typically cold air: y_N2 = 0.767, y_O2 = 0.233). The
+  /// chemistry and stiff-integrator workspaces and the right-hand-side
+  /// buffers are locals of the call: concurrent solves on one instance are
+  /// safe, and no right-hand-side evaluation allocates.
   RelaxationProfile solve(const ShockTubeFreestream& fs,
                           std::span<const double> y1) const;
 

@@ -521,9 +521,10 @@ LevelResult run_backward_euler_level(std::size_t nsteps) {
   sopt.abs_tol = 1e-13;
   sopt.fixed_step = 1.0 / static_cast<double>(nsteps);
   sopt.use_bdf2 = false;
-  numerics::StiffIntegrator integ(rhs, nullptr, sopt);
+  numerics::StiffIntegrator integ(rhs, sopt);
+  numerics::StiffWorkspace ws;
   std::vector<double> y{g(0.0)};
-  integ.integrate(0.0, 1.0, y);
+  integ.integrate(0.0, 1.0, y, ws);
 
   LevelResult lr;
   lr.h = sopt.fixed_step;

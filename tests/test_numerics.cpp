@@ -326,7 +326,8 @@ TEST(Ode, StiffIntegratorHandlesRobertsonLikeProblem) {
   };
   std::vector<double> y{1.0, 1.0};
   StiffIntegrator integ(f);
-  integ.integrate(0.0, 2.0, y);
+  StiffWorkspace ws;
+  integ.integrate(0.0, 2.0, y, ws);
   EXPECT_NEAR(y[0], 1e-4, 1e-6);       // equilibrium of the fast mode
   EXPECT_NEAR(y[1], std::exp(-2.0), 1e-4);
 }
@@ -337,8 +338,9 @@ TEST(Ode, StiffMatchesRk4OnNonstiff) {
   };
   std::vector<double> y1{2.0}, y2{2.0};
   integrate_rk4(f, 0.0, 3.0, 300, y1);
-  StiffIntegrator integ(f, nullptr, {.rel_tol = 1e-10, .abs_tol = 1e-14});
-  integ.integrate(0.0, 3.0, y2);
+  StiffIntegrator integ(f, {.rel_tol = 1e-10, .abs_tol = 1e-14});
+  StiffWorkspace ws;
+  integ.integrate(0.0, 3.0, y2, ws);
   EXPECT_NEAR(y1[0], y2[0], 1e-5);
 }
 

@@ -317,7 +317,7 @@ TEST(PulseSkipAccounting, CountsSolvedFreeMolecularAndSkipped) {
 
 TEST(PulseDeterminism, OneThreadAndManyThreadsBitwiseIdentical) {
   // The guarantee the thread-pool refactor rests on: per-point solves are
-  // independent and reentrant (PR 2 thread-local workspaces), so the only
+  // independent and reentrant (caller-owned workspaces), so the only
   // thing threading may change is scheduling — never values.
   atmosphere::EarthAtmosphere atmo;
   const auto probe = trajectory::galileo_class_probe();

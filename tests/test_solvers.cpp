@@ -53,8 +53,11 @@ TEST(TwoTemperature, RelaxationTimeDecreasesWithTAndP) {
 TEST(TwoTemperature, LandauTellerSignDrivesTvTowardT) {
   gas::TwoTemperatureGas ttg(gas::make_air5());
   std::vector<double> y{0.767, 0.233, 0.0, 0.0, 0.0};
-  const double q_up = ttg.landau_teller_source(0.01, y, 8000.0, 2000.0, 1e4);
-  const double q_dn = ttg.landau_teller_source(0.01, y, 2000.0, 8000.0, 1e4);
+  std::vector<double> x(y.size());
+  const double q_up =
+      ttg.landau_teller_source(0.01, y, 8000.0, 2000.0, 1e4, x);
+  const double q_dn =
+      ttg.landau_teller_source(0.01, y, 2000.0, 8000.0, 1e4, x);
   EXPECT_GT(q_up, 0.0);  // vibration absorbs energy when Tv < T
   EXPECT_LT(q_dn, 0.0);
 }

@@ -417,7 +417,8 @@ TEST(verify_consistency, vibronic_source_paths_agree) {
   std::vector<double> c(ns);
   for (std::size_t s = 0; s < ns; ++s)
     c[s] = rho * y[s] / mech.species_set().species(s).molar_mass;
-  const double q_direct = mech.chemistry_vibronic_source(c, t, tv);
+  chemistry::Workspace ws_direct;
+  const double q_direct = mech.chemistry_vibronic_source(c, t, tv, ws_direct);
 
   EXPECT_NEAR(q_rates, q_direct,
               1e-9 * std::max(std::fabs(q_rates), std::fabs(q_direct)));

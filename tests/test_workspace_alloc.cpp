@@ -18,6 +18,7 @@
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
+#include "solvers/relax1d/relax1d.hpp"
 
 namespace {
 std::atomic<bool> g_count{false};
@@ -93,20 +94,6 @@ TEST(WorkspaceAlloc, MassProductionRatesIsAllocationFree) {
     const double t = 8000.0 + k;
     mech.mass_production_rates(0.02, y, t, 0.75 * t, wdot, ws);
   }
-  EXPECT_EQ(scope.count(), 0u);
-}
-
-TEST(WorkspaceAlloc, LegacyOverloadIsAllocationFreeAfterWarmup) {
-  // The workspace-free overload goes through a thread-local workspace and
-  // must also be allocation-free once warm.
-  const auto mech = chemistry::park_air9();
-  const auto y = test_composition(mech);
-  std::vector<double> wdot(mech.n_species());
-  mech.mass_production_rates(0.02, y, 8000.0, 6000.0, wdot);
-
-  AllocCounterScope scope;
-  for (int k = 0; k < 100; ++k)
-    mech.mass_production_rates(0.02, y, 8000.0 + k, 6000.0, wdot);
   EXPECT_EQ(scope.count(), 0u);
 }
 
@@ -220,6 +207,46 @@ TEST(WorkspaceAlloc, IsochoricAdvanceAllocsIndependentOfStepCount) {
   EXPECT_EQ(allocs_long, allocs_short)
       << "stiff inner loop allocated (short=" << allocs_short
       << ", long=" << allocs_long << ")";
+}
+
+// Shock-tube relaxation: a solve allocates its per-call scratch, the
+// right-hand-side and frozen-jump closures, and the stored profile (one
+// station per sample), and nothing per right-hand-side evaluation. The same
+// n_samples over a 100x longer march takes many more integrator steps; if
+// the allocation counts agree, the RHS, its state recovery and the sample
+// store are allocation-free.
+TEST(WorkspaceAlloc, RelaxationSolveAllocsIndependentOfStepCount) {
+  const auto mech = chemistry::park_air5();
+  std::vector<double> y1(mech.n_species(), 0.0);
+  y1[mech.species_set().local_index("N2")] = 0.767;
+  y1[mech.species_set().local_index("O2")] = 0.233;
+  const solvers::ShockTubeFreestream fs{13.0, 300.0, 9000.0};
+  struct Run {
+    std::size_t allocs = 0, rhs_calls = 0;
+  };
+  auto run = [&](double x_max_m) {
+    Run r;
+    solvers::Relax1dOptions opt;
+    opt.x_max_m = x_max_m;
+    opt.n_samples = 8;
+    // A zero manufactured source that counts right-hand-side evaluations.
+    opt.source = [&r](double, std::span<const double>, std::span<double>) {
+      ++r.rhs_calls;
+    };
+    const solvers::PostShockRelaxation solver(mech, opt);
+    AllocCounterScope scope;
+    const auto prof = solver.solve(fs, y1);
+    r.allocs = scope.count();
+    EXPECT_EQ(prof.size(), opt.n_samples + 1);
+    return r;
+  };
+  const Run short_run = run(1e-5);
+  const Run long_run = run(1e-3);
+  EXPECT_GT(long_run.rhs_calls, short_run.rhs_calls);
+  EXPECT_EQ(long_run.allocs, short_run.allocs)
+      << "relaxation right-hand side allocated (short=" << short_run.allocs
+      << " allocations over " << short_run.rhs_calls << " RHS calls, long="
+      << long_run.allocs << " over " << long_run.rhs_calls << ")";
 }
 
 // Equilibrium inversions: a solve_ph allocates its per-call scratch, the

@@ -29,8 +29,9 @@ void dump_rates(const char* name, chemistry::Mechanism (*factory)()) {
   y[mech.species_set().local_index("O")] = 0.14;
   y[mech.species_set().local_index("NO")] = 0.01;
   std::vector<double> wdot(ns);
+  chemistry::Workspace ws;
   for (const auto& p : pts) {
-    mech.mass_production_rates(p.rho, y, p.t, p.tv, wdot);
+    mech.mass_production_rates(p.rho, y, p.t, p.tv, wdot, ws);
     std::printf("{\"%s\", %g, %g, %g, {", name, p.rho, p.t, p.tv);
     for (std::size_t s = 0; s < ns; ++s)
       std::printf("%.17g%s", wdot[s], s + 1 < ns ? ", " : "");
@@ -41,7 +42,7 @@ void dump_rates(const char* name, chemistry::Mechanism (*factory)()) {
   for (std::size_t s = 0; s < ns; ++s)
     c[s] = pts[0].rho * y[s] / mech.species_set().species(s).molar_mass;
   std::printf("// %s vibronic source: %.17g\n", name,
-              mech.chemistry_vibronic_source(c, pts[0].t, pts[0].tv));
+              mech.chemistry_vibronic_source(c, pts[0].t, pts[0].tv, ws));
 }
 
 // Reference heating pulse for the scenario/batch-driver golden test: the

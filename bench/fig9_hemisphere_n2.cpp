@@ -8,15 +8,41 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "atmosphere/atmosphere.hpp"
+#include "core/gas_model.hpp"
+#include "gas/mixture.hpp"
 #include "geometry/body.hpp"
 #include "io/contour.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
-#include "solvers/ns/ns.hpp"
+#include "solvers/euler/euler.hpp"
 
 using namespace cat;
+
+namespace {
+
+/// Mole fraction of one species on every cell of an equilibrium-gas
+/// solution (cell index = i * nj + j).
+std::vector<double> species_mole_fraction_field(
+    const solvers::EulerSolver& solver,
+    const core::EquilibriumGasModel& gas_model, const gas::Mixture& mixture,
+    std::size_t species_local_index) {
+  const auto& g = solver.grid();
+  std::vector<double> field(g.ni() * g.nj());
+  std::vector<double> y(mixture.n_species());
+  for (std::size_t i = 0; i < g.ni(); ++i) {
+    for (std::size_t j = 0; j < g.nj(); ++j) {
+      const auto& w = solver.primitive(i, j);
+      gas_model.table().mass_fractions(w[0], w[3], y);
+      field[i * g.nj() + j] = mixture.mole_fractions(y)[species_local_index];
+    }
+  }
+  return field;
+}
+
+}  // namespace
 
 int main() {
   const double radius = 0.1524;  // 6-inch hemisphere (ballistic-range scale)
@@ -38,8 +64,9 @@ int main() {
   opt.cfl = 0.4;
   opt.max_iter = 6000;
   opt.residual_tol = 1e-4;
+  opt.viscous = true;
   opt.wall_temperature_K = 1500.0;
-  solvers::NavierStokesSolver solver(grid, gas_model, opt);
+  solvers::EulerSolver solver(grid, gas_model, opt);
   solver.initialize({a.density, v, 0.0, a.pressure});
   std::printf("solving M=20 equilibrium-air NS over hemisphere (48x48)...\n");
   const std::size_t iters = solver.solve();
@@ -50,7 +77,7 @@ int main() {
   gas::Mixture mix(gas::make_air5());
   const std::size_t i_n2 = mix.set().local_index("N2");
   const auto field =
-      solvers::species_mole_fraction_field(solver, *gas_model, mix, i_n2);
+      species_mole_fraction_field(solver, *gas_model, mix, i_n2);
 
   std::vector<io::FieldPoint> pts;
   for (std::size_t i = 0; i < grid.ni(); ++i)

@@ -110,7 +110,6 @@ DEFAULT_UNIT_SUFFIX_FILES = [
     "src/solvers/bl/boundary_layer.hpp",
     "src/solvers/correlations/correlations.hpp",
     "src/solvers/euler/euler.hpp",
-    "src/solvers/ns/ns.hpp",
     "src/solvers/pns/pns.hpp",
     "src/solvers/relax1d/relax1d.hpp",
     "src/solvers/stagnation/stagnation.hpp",

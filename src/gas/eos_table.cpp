@@ -41,16 +41,12 @@ EquilibriumEosTable::EquilibriumEosTable(const EquilibriumSolver& solver,
                                                 dle, range.n_e));
 
   // Each density row sweeps temperature upward with warm-started Newton
-  // element potentials, then maps onto the energy nodes. Rows are
-  // independent -> OpenMP.
+  // element potentials, then maps onto the energy nodes (serial; rows are
+  // independent).
   const std::size_t nt = 192;
   const double t_lo = 160.0, t_hi = 42000.0;
 
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-  for (std::ptrdiff_t ir = 0; ir < static_cast<std::ptrdiff_t>(range.n_rho);
-       ++ir) {
+  for (std::size_t ir = 0; ir < range.n_rho; ++ir) {
     const double rho = std::exp(lr0 + dlr * static_cast<double>(ir));
     std::vector<double> e_of_t(nt), p_of_t(nt), t_grid(nt);
     std::vector<std::vector<double>> y_of_t(nt);

@@ -31,7 +31,7 @@ class EquilibriumEosTable {
   };
 
   /// Build by sampling \p solver over \p range. Sampling cost is
-  /// O(n_rho * n_e) equilibrium solves (done once, OpenMP-parallel).
+  /// O(n_rho * n_e) equilibrium solves (done once, serially).
   EquilibriumEosTable(const EquilibriumSolver& solver, const Range& range);
 
   std::size_t n_species() const { return n_species_; }

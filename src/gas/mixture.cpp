@@ -154,16 +154,6 @@ double Mixture::temperature_from_enthalpy(std::span<const double> y, double h,
   return 0.5 * (lo + hi);
 }
 
-double Mixture::gamma_frozen(std::span<const double> y, double t) const {
-  const double cp = cp_mass(y, t);
-  const double r = gas_constant(y);
-  return cp / (cp - r);
-}
-
-double Mixture::frozen_sound_speed(std::span<const double> y, double t) const {
-  return std::sqrt(gamma_frozen(y, t) * gas_constant(y) * t);
-}
-
 void Mixture::clean_mass_fractions(std::span<double> y) {
   double total = 0.0;
   for (double& v : y) {

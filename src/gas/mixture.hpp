@@ -64,12 +64,6 @@ class Mixture {
   double temperature_from_enthalpy(std::span<const double> y, double h,
                                    double t_guess = 1000.0) const;
 
-  /// Frozen sound speed a^2 = gamma_frozen R T.
-  double frozen_sound_speed(std::span<const double> y, double t) const;
-
-  /// Frozen specific-heat ratio cp/(cp - R).
-  double gamma_frozen(std::span<const double> y, double t) const;
-
   /// Validate and renormalize mass fractions in place (clip tiny negatives
   /// from conservative updates, renormalize to sum 1).
   static void clean_mass_fractions(std::span<double> y);

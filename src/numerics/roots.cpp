@@ -12,7 +12,6 @@ double newton(const std::function<double(double)>& f,
   double x = x0;
   for (std::size_t it = 0; it < opt.max_iter; ++it) {
     const double fx = f(x);
-    if (opt.f_tol > 0.0 && std::fabs(fx) < opt.f_tol) return x;
     const double d = dfdx(x);
     if (std::fabs(d) < 1e-300) throw SolverError("newton: zero derivative");
     const double dx = fx / d;
@@ -35,7 +34,6 @@ double newton_bracketed(const std::function<double(double)>& f,
   double x = 0.5 * (lo + hi);
   for (std::size_t it = 0; it < opt.max_iter; ++it) {
     const double fx = f(x);
-    if (opt.f_tol > 0.0 && std::fabs(fx) < opt.f_tol) return x;
     if (fx * flo < 0.0) {
       hi = x;
       fhi = fx;

@@ -11,7 +11,6 @@ namespace cat::numerics {
 
 struct RootOptions {
   double tol = 1e-12;          ///< relative tolerance on x
-  double f_tol = 0.0;          ///< optional absolute tolerance on f
   std::size_t max_iter = 100;
 };
 

@@ -29,10 +29,7 @@ SlabResult solve_tangent_slab(const SpectralGrid& grid,
   //   flux moment:  2 pi S [E3(tau_in) - E3(tau_out)]   (dE3/dt = -E2)
   //   normal ray:       S [exp(-tau_in) - exp(-tau_out)]
   // and the optically thin limit (kappa -> 0) reduces to j dz weighting.
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(nb); ++k) {
+  for (std::size_t k = 0; k < nb; ++k) {
     double tau = 0.0;
     double q = 0.0, inorm = 0.0;
     for (const auto& layer : layers) {

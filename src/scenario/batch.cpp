@@ -12,8 +12,9 @@ BatchResult run_batch(const std::vector<Case>& cases,
   BatchResult out;
   out.results.resize(cases.size());
 
-  RunOptions ropt;
-  ropt.threads = opt.threads_per_case;
+  // Each case runs single-threaded: the batch is the one level of
+  // parallelism (nested pools would oversubscribe the cores).
+  const RunOptions ropt{.threads = 1};
 
   core::ThreadPool pool(opt.threads);
   pool.parallel_for(cases.size(), [&](std::size_t i) {

@@ -21,10 +21,6 @@ struct BatchResult {
 /// Execution options for run_batch.
 struct BatchOptions {
   std::size_t threads = 1;  ///< pool width across cases (0 = hardware)
-  /// Threads given to each case's own runner. Keep at 1 when the batch
-  /// itself is parallel (one level of parallelism is enough to saturate
-  /// cores and nested pools would oversubscribe).
-  std::size_t threads_per_case = 1;
 };
 
 /// Run every case, fanning out across opt.threads workers. A case whose

@@ -6,6 +6,16 @@
 #include "core/thread_pool.hpp"
 
 namespace cat::scenario {
+namespace {
+
+/// The pulse ends at the first point slower than this fraction of the
+/// entry velocity.
+constexpr double kStartVelocityFraction = 0.15;
+/// Continuum floor [kg/m^3]: below this freestream density the point is
+/// reported as free-molecular (zero continuum heating) without a solve.
+constexpr double kContinuumDensityFloor = 1e-9;
+
+}  // namespace
 
 double PulseResult::heat_load() const {
   double acc = 0.0;
@@ -24,7 +34,7 @@ std::vector<std::size_t> decimate_pulse_indices(
   CAT_REQUIRE(!traj.empty(), "empty trajectory");
   CAT_REQUIRE(opt.max_points > 0, "max_points must be positive");
   const double v_entry = traj.front().velocity;
-  const double v_cut = opt.start_velocity_fraction * v_entry;
+  const double v_cut = kStartVelocityFraction * v_entry;
 
   // Retained span: the leading run of hypersonic points. (The cut is a
   // prefix, matching the legacy loop's break: once the vehicle slows below
@@ -60,7 +70,7 @@ PulseResult heating_pulse(
     const auto& p = traj[idx[i]];
     HeatingPoint hp{p.time, p.velocity, p.altitude, 0.0, 0.0};
     PulsePointStatus st;
-    if (p.density < opt.continuum_density_floor_kg_m3) {
+    if (p.density < kContinuumDensityFloor) {
       // Free-molecular fringe: no continuum shock layer yet.
       st = PulsePointStatus::kFreeMolecular;
     } else {

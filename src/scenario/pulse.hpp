@@ -27,19 +27,16 @@ struct HeatingPoint {
 
 /// Options for the pulse driver.
 struct PulseOptions {
-  double start_velocity_fraction = 0.15;  ///< skip points below this V/V_entry  // cat-lint: dimensionless
   std::size_t max_points = 80;            ///< stagnation solves along the pulse
   double wall_temperature_K = 1500.0;
   std::size_t threads = 1;                ///< 0 = hardware concurrency
-  /// Continuum floor: below this freestream density the point is reported
-  /// as free-molecular (zero continuum heating) without a solve.
-  double continuum_density_floor_kg_m3 = 1e-9;  ///< [kg/m^3]
 };
 
 /// Outcome of one pulse point.
 enum class PulsePointStatus : unsigned char {
   kSolved,         ///< full stagnation solve succeeded
-  kFreeMolecular,  ///< below the continuum density floor; reported as zero
+  kFreeMolecular,  ///< freestream density below 1e-9 kg/m^3 (continuum
+                   ///< floor); reported as zero without a solve
   kSkipped,        ///< the solver raised cat::Error; reported as zero
 };
 
@@ -59,7 +56,7 @@ struct PulseResult {
 
 /// Decimation of a trajectory for the pulse driver: indices of the points
 /// to solve. The retained span is the leading run with
-/// V >= start_velocity_fraction * V_entry; the stride is chosen from that
+/// V >= 0.15 V_entry; the stride is chosen from that
 /// span (not the full trajectory length) so the heating peak keeps its
 /// sample density, and the final retained point is always included so the
 /// pulse cannot end early. Exposed for direct unit testing.

@@ -8,7 +8,7 @@
 #include "grid/grid.hpp"
 #include "io/contour.hpp"
 #include "scenario/runner_detail.hpp"
-#include "solvers/ns/ns.hpp"
+#include "solvers/euler/euler.hpp"
 
 /// Body of the shock-capturing finite-volume family: the Euler/Navier-Stokes
 /// solver over a hemisphere built from the case vehicle (Fig. 4 shock
@@ -62,6 +62,7 @@ void run_finite_volume_field(const Case& c, const RunOptions&,
   opt.cfl = 0.4;
   opt.max_iter = preset.max_iter;
   opt.residual_tol = preset.residual_tol;
+  opt.viscous = c.viscous;
   opt.wall_temperature_K = c.wall_temperature_K;
   std::size_t i_n2 = 0, i_o = 0;  // species metric indices (finite_rate)
   if (c.finite_rate) {
@@ -77,15 +78,7 @@ void run_finite_volume_field(const Case& c, const RunOptions&,
     opt.mechanism = std::move(mech);
     opt.species_y0 = std::move(y0);
   }
-  std::unique_ptr<solvers::EulerSolver> solver_ptr;
-  if (c.viscous) {
-    solver_ptr = std::make_unique<solvers::NavierStokesSolver>(
-        grid, gas_model, opt);
-  } else {
-    solver_ptr =
-        std::make_unique<solvers::EulerSolver>(grid, gas_model, opt);
-  }
-  solvers::EulerSolver& solver = *solver_ptr;
+  solvers::EulerSolver solver(grid, gas_model, opt);
 
   solver.initialize({sc.rho_inf, sc.velocity, 0.0, sc.p_inf});
   const std::size_t iters = solver.solve();

@@ -18,6 +18,8 @@ namespace {
 // attack, so a sphere-cone or trajectory case with the same nose radius
 // can never be served a hemisphere stagnation-point table's answer.
 constexpr const char* kMagic = "CATSURR2";
+/// Relative floor of every stored error bound (see SurrogateBuildOptions).
+constexpr double kRelativeFloor = 0.005;
 
 void validate_domain(const SurrogateDomain& d) {
   CAT_REQUIRE(d.n_velocity >= 2 && d.n_altitude >= 2,
@@ -48,7 +50,6 @@ SurrogateTable assemble(SurrogateMeta meta, const SurrogateDomain& dom,
                                          SurrogateTable::kNChannels>& refined,
                         const SurrogateBuildOptions& opt) {
   CAT_REQUIRE(opt.safety_factor >= 1.0, "safety factor must be >= 1");
-  CAT_REQUIRE(opt.relative_floor >= 0.0, "relative floor must be >= 0");
   const std::size_t nv = dom.n_velocity, na = dom.n_altitude;
   const std::size_t nar = 2 * na - 1;
   const double dv = (dom.velocity_max_mps - dom.velocity_min_mps) /
@@ -90,7 +91,7 @@ SurrogateTable assemble(SurrogateMeta meta, const SurrogateDomain& dom,
             {std::fabs(c00), std::fabs(c10), std::fabs(c01),
              std::fabs(c11)});
         b[i * (na - 1) + j] =
-            opt.safety_factor * max_dev + opt.relative_floor * scale;
+            opt.safety_factor * max_dev + kRelativeFloor * scale;
       }
     }
     values[ch] = std::move(t);

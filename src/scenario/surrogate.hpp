@@ -77,10 +77,9 @@ using SurrogateTruthFn =
 struct SurrogateBuildOptions {
   std::size_t threads = 0;        ///< batch pool width (0 = hardware)
   /// Stored bound = safety_factor x max measured mid-cell deviation +
-  /// relative_floor x |cell value| (the floor keeps bounds honest where
+  /// 0.005 x |cell value| (the relative floor keeps bounds honest where
   /// the measured deviation is accidentally tiny).
   double safety_factor = 2.0;     // cat-lint: dimensionless
-  double relative_floor = 0.005;  // cat-lint: dimensionless
   Fidelity truth_fidelity = Fidelity::kSmoke;  ///< hierarchy preset
 };
 

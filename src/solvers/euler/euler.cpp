@@ -36,18 +36,18 @@ EulerSolver::EulerSolver(const grid::StructuredGrid& grid,
       ysum += y;
     }
     CAT_REQUIRE(std::fabs(ysum - 1.0) < 1e-8, "species_y0 must sum to 1");
-    chem_active_ = opt_.finite_rate && opt_.mechanism->n_reactions() > 0;
     us_.assign(ns_ * n, 0.0);
     ys_.assign(ns_ * n, 0.0);
     res_s_.assign(ns_ * n, 0.0);
     us0_scratch_.assign(ns_ * n, 0.0);
-    if (chem_active_) {
+    y_stencil_.assign(4 * ns_, 0.0);
+    s_hook_.assign(ns_, 0.0);
+    if (opt_.mechanism->n_reactions() > 0) {
+      chem_.emplace(*opt_.mechanism);
       wdot_.assign(ns_ * n, 0.0);
       damp_.assign(ns_ * n, 1.0);
       chem_rho_.assign(n, 0.0);
       chem_t_.assign(n, 0.0);
-      chem_ws_.bind(*opt_.mechanism,
-                    std::min(std::max<std::size_t>(opt_.species_block, 1), n));
     }
   }
 }
@@ -97,11 +97,7 @@ void EulerSolver::decode_all() {
   const double e_fs = gas_->energy(fs_.rho, fs_.p);
   const double a_fs = gas_->sound_speed(fs_.rho, e_fs);
   const double v_cap = 4.0 * (std::fabs(fs_.u) + std::fabs(fs_.v) + a_fs);
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(u_.size());
-       ++k) {
+  for (std::size_t k = 0; k < u_.size(); ++k) {
     Conservative& c = u_[k];
     c[0] = std::max(c[0], 1e-4 * fs_.rho);
     const double rho = c[0];
@@ -136,11 +132,7 @@ void EulerSolver::decode_species() {
   // For exactly advected fields (frozen MMS) the repair is a no-op to
   // roundoff: symmetric limiters reconstruct sum(y) = 1 exactly.
   const std::size_t n = u_.size();
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t kk = 0; kk < static_cast<std::ptrdiff_t>(n); ++kk) {
-    const auto k = static_cast<std::size_t>(kk);
+  for (std::size_t k = 0; k < n; ++k) {
     const double rho = w_[k][0];
     const double inv_rho = 1.0 / rho;
     double sum = 0.0;
@@ -224,89 +216,88 @@ Primitive EulerSolver::axis_ghost(const Primitive& w) const {
   return {w[0], w[1], -w[2], w[3]};
 }
 
-std::array<double, 2> EulerSolver::mms_center_i(std::ptrdiff_t qi,
-                                                std::size_t j) const {
-  const auto ni = static_cast<std::ptrdiff_t>(grid_.ni());
-  if (qi >= 0 && qi < ni)
-    return {grid_.xc(static_cast<std::size_t>(qi), j),
-            grid_.rc(static_cast<std::size_t>(qi), j)};
-  const std::size_t a = qi < 0 ? 0 : grid_.ni() - 1;  // nearest interior
-  const std::size_t b = qi < 0 ? 1 : grid_.ni() - 2;  // next inward
-  const double steps = qi < 0 ? static_cast<double>(-qi)
-                              : static_cast<double>(qi - (ni - 1));
-  return {grid_.xc(a, j) + steps * (grid_.xc(a, j) - grid_.xc(b, j)),
-          grid_.rc(a, j) + steps * (grid_.rc(a, j) - grid_.rc(b, j))};
+std::array<double, 2> EulerSolver::face_normal(const Line& l,
+                                               std::size_t q) const {
+  if (l.dir == Dir::kI)
+    return {grid_.iface_nx(q, l.index), grid_.iface_nr(q, l.index)};
+  return {grid_.jface_nx(l.index, q), grid_.jface_nr(l.index, q)};
 }
 
-std::array<double, 2> EulerSolver::mms_center_j(std::size_t i,
-                                                std::ptrdiff_t qj) const {
-  const auto nj = static_cast<std::ptrdiff_t>(grid_.nj());
-  if (qj >= 0 && qj < nj)
-    return {grid_.xc(i, static_cast<std::size_t>(qj)),
-            grid_.rc(i, static_cast<std::size_t>(qj))};
-  const std::size_t a = qj < 0 ? 0 : grid_.nj() - 1;
-  const std::size_t b = qj < 0 ? 1 : grid_.nj() - 2;
-  const double steps = qj < 0 ? static_cast<double>(-qj)
-                              : static_cast<double>(qj - (nj - 1));
-  return {grid_.xc(i, a) + steps * (grid_.xc(i, a) - grid_.xc(i, b)),
-          grid_.rc(i, a) + steps * (grid_.rc(i, a) - grid_.rc(i, b))};
+std::array<double, 2> EulerSolver::mms_center(const Line& l,
+                                              std::ptrdiff_t q) const {
+  auto center = [&](std::size_t k) -> std::array<double, 2> {
+    if (l.dir == Dir::kI) return {grid_.xc(k, l.index), grid_.rc(k, l.index)};
+    return {grid_.xc(l.index, k), grid_.rc(l.index, k)};
+  };
+  const auto n = static_cast<std::ptrdiff_t>(l.n);
+  if (q >= 0 && q < n) return center(static_cast<std::size_t>(q));
+  const auto a = center(q < 0 ? 0 : l.n - 1);  // nearest interior
+  const auto b = center(q < 0 ? 1 : l.n - 2);  // next inward
+  const double steps = q < 0 ? static_cast<double>(-q)
+                             : static_cast<double>(q - (n - 1));
+  return {a[0] + steps * (a[0] - b[0]), a[1] + steps * (a[1] - b[1])};
 }
 
-Primitive EulerSolver::mms_state_i(std::ptrdiff_t qi, std::size_t j) const {
-  if (qi >= 0 && qi < static_cast<std::ptrdiff_t>(grid_.ni()))
-    return w_[cidx(static_cast<std::size_t>(qi), j)];
-  const auto c = mms_center_i(qi, j);
+Primitive EulerSolver::mms_state(const Line& l, std::ptrdiff_t q) const {
+  if (q >= 0 && q < static_cast<std::ptrdiff_t>(l.n))
+    return w_[l.cell(static_cast<std::size_t>(q))];
+  const auto c = mms_center(l, q);
   return opt_.dirichlet(c[0], c[1]);
 }
 
-Primitive EulerSolver::mms_state_j(std::size_t i, std::ptrdiff_t qj) const {
-  if (qj >= 0 && qj < static_cast<std::ptrdiff_t>(grid_.nj()))
-    return w_[cidx(i, static_cast<std::size_t>(qj))];
-  const auto c = mms_center_j(i, qj);
-  return opt_.dirichlet(c[0], c[1]);
-}
-
-void EulerSolver::species_face_i(std::size_t i, std::size_t j, double f0) {
-  const std::size_t ni = grid_.ni(), n = u_.size();
+void EulerSolver::species_face(const Line& l, std::size_t q, double f0) {
+  const std::size_t n = u_.size();
   const auto lim = opt_.limiter;
   const bool mms_sp = static_cast<bool>(opt_.species_dirichlet);
-  if (!mms_sp && (i == 0 || i == ni)) {
-    // Physical boundary faces mirror the bulk ghost policy: the axis
-    // mirror and the outflow zero-gradient both leave y unchanged across
-    // the face, so the species flux is f0 times the interior fraction.
-    const std::size_t c = cidx(i == 0 ? 0 : ni - 1, j);
-    for (std::size_t s = 0; s < ns_; ++s) {
-      const double fs = f0 * ys_[s * n + c];
-      if (i > 0) res_s_[s * n + cidx(i - 1, j)] += fs;
-      if (i < ni) res_s_[s * n + cidx(i, j)] -= fs;
+  // res accumulates the net species outflux of the cells on either side.
+  auto add_flux = [&](std::size_t s, double fs) {
+    if (q > 0) res_s_[s * n + l.cell(q - 1)] += fs;
+    if (q < l.n) res_s_[s * n + l.cell(q)] -= fs;
+  };
+  if (!mms_sp && (q == 0 || q == l.n)) {
+    const std::size_t c = l.cell(q == 0 ? 0 : l.n - 1);
+    if (l.dir == Dir::kI) {
+      // Physical boundary faces mirror the bulk ghost policy: the axis
+      // mirror and the outflow zero-gradient both leave y unchanged
+      // across the face, so the species flux is f0 times the interior
+      // fraction.
+      for (std::size_t s = 0; s < ns_; ++s) add_flux(s, f0 * ys_[s * n + c]);
+    } else {
+      // Wall faces are non-catalytic (ghost carries the interior
+      // fractions); the outer boundary sees freestream fractions on the
+      // exterior side.
+      for (std::size_t s = 0; s < ns_; ++s) {
+        const double y_in = ys_[s * n + c];
+        const double yl = y_in;
+        const double yr = q == l.n ? opt_.species_y0[s] : y_in;
+        add_flux(s, 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl)));
+      }
     }
     return;
   }
-  // cat-lint: allow-alloc (thread-local stencil scratch; no-op after 1st call)
-  thread_local std::vector<double> ym2, ym1, yp1, yp2;
-  ym2.resize(ns_);
-  ym1.resize(ns_);
-  yp1.resize(ns_);
-  yp2.resize(ns_);
-  auto fetch = [&](std::ptrdiff_t qi, std::vector<double>& out) {
-    if (qi < 0 || qi >= static_cast<std::ptrdiff_t>(ni)) {
+  const std::span<double> ym2(y_stencil_.data(), ns_);
+  const std::span<double> ym1(y_stencil_.data() + ns_, ns_);
+  const std::span<double> yp1(y_stencil_.data() + 2 * ns_, ns_);
+  const std::span<double> yp2(y_stencil_.data() + 3 * ns_, ns_);
+  auto fetch = [&](std::ptrdiff_t k, std::span<double> out) {
+    if (k < 0 || k >= static_cast<std::ptrdiff_t>(l.n)) {
       if (mms_sp) {
-        const auto g = mms_center_i(qi, j);
+        const auto g = mms_center(l, k);
         opt_.species_dirichlet(g[0], g[1], out);
         return;
       }
-      qi = qi < 0 ? 0 : static_cast<std::ptrdiff_t>(ni) - 1;
+      k = k < 0 ? 0 : static_cast<std::ptrdiff_t>(l.n) - 1;
     }
-    const std::size_t c = cidx(static_cast<std::size_t>(qi), j);
+    const std::size_t c = l.cell(static_cast<std::size_t>(k));
     for (std::size_t s = 0; s < ns_; ++s) out[s] = ys_[s * n + c];
   };
-  const auto q = static_cast<std::ptrdiff_t>(i);
-  fetch(q - 2, ym2);
-  fetch(q - 1, ym1);
-  fetch(q, yp1);
-  fetch(q + 1, yp2);
-  const bool have_m2 = mms_sp || i >= 2;
-  const bool have_p2 = mms_sp || i + 1 < ni;
+  const auto qs = static_cast<std::ptrdiff_t>(q);
+  fetch(qs - 2, ym2);
+  fetch(qs - 1, ym1);
+  fetch(qs, yp1);
+  fetch(qs + 1, yp2);
+  const bool have_m2 = mms_sp || q >= 2;
+  const bool have_p2 = mms_sp || q + 1 < l.n;
   for (std::size_t s = 0; s < ns_; ++s) {
     double yl = ym1[s], yr = yp1[s];
     if (second_order_now_) {
@@ -318,65 +309,7 @@ void EulerSolver::species_face_i(std::size_t i, std::size_t j, double f0) {
     // Upwind on the sign of the bulk mass flux: f0 yl for outflow of the
     // left cell, f0 yr for inflow — consistent with the HLLE mass flux so
     // a uniform y field advects exactly.
-    const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-    if (i > 0) res_s_[s * n + cidx(i - 1, j)] += fs;
-    if (i < ni) res_s_[s * n + cidx(i, j)] -= fs;
-  }
-}
-
-void EulerSolver::species_face_j(std::size_t i, std::size_t j, double f0) {
-  const std::size_t nj = grid_.nj(), n = u_.size();
-  const auto lim = opt_.limiter;
-  const bool mms_sp = static_cast<bool>(opt_.species_dirichlet);
-  if (!mms_sp && (j == 0 || j == nj)) {
-    // Wall faces are non-catalytic (ghost carries the interior fractions);
-    // the outer boundary sees freestream fractions on the exterior side.
-    for (std::size_t s = 0; s < ns_; ++s) {
-      const double y_in = ys_[s * n + cidx(i, j == 0 ? 0 : nj - 1)];
-      const double yl = y_in;
-      const double yr = j == nj ? opt_.species_y0[s] : y_in;
-      const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-      if (j > 0) res_s_[s * n + cidx(i, j - 1)] += fs;
-      if (j < nj) res_s_[s * n + cidx(i, j)] -= fs;
-    }
-    return;
-  }
-  // cat-lint: allow-alloc (thread-local stencil scratch; no-op after 1st call)
-  thread_local std::vector<double> ym2, ym1, yp1, yp2;
-  ym2.resize(ns_);
-  ym1.resize(ns_);
-  yp1.resize(ns_);
-  yp2.resize(ns_);
-  auto fetch = [&](std::ptrdiff_t qj, std::vector<double>& out) {
-    if (qj < 0 || qj >= static_cast<std::ptrdiff_t>(nj)) {
-      if (mms_sp) {
-        const auto g = mms_center_j(i, qj);
-        opt_.species_dirichlet(g[0], g[1], out);
-        return;
-      }
-      qj = qj < 0 ? 0 : static_cast<std::ptrdiff_t>(nj) - 1;
-    }
-    const std::size_t c = cidx(i, static_cast<std::size_t>(qj));
-    for (std::size_t s = 0; s < ns_; ++s) out[s] = ys_[s * n + c];
-  };
-  const auto q = static_cast<std::ptrdiff_t>(j);
-  fetch(q - 2, ym2);
-  fetch(q - 1, ym1);
-  fetch(q, yp1);
-  fetch(q + 1, yp2);
-  const bool have_m2 = mms_sp || j >= 2;
-  const bool have_p2 = mms_sp || j + 1 < nj;
-  for (std::size_t s = 0; s < ns_; ++s) {
-    double yl = ym1[s], yr = yp1[s];
-    if (second_order_now_) {
-      if (have_m2)
-        yl += 0.5 * limited_slope(lim, ym1[s] - ym2[s], yp1[s] - ym1[s]);
-      if (have_p2)
-        yr -= 0.5 * limited_slope(lim, yp1[s] - ym1[s], yp2[s] - yp1[s]);
-    }
-    const double fs = 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl));
-    if (j > 0) res_s_[s * n + cidx(i, j - 1)] += fs;
-    if (j < nj) res_s_[s * n + cidx(i, j)] -= fs;
+    add_flux(s, 0.5 * (f0 * (yl + yr) - std::fabs(f0) * (yr - yl)));
   }
 }
 
@@ -391,23 +324,13 @@ void EulerSolver::update_chemistry_source(const std::vector<double>& dts) {
   // stiff destruction, and the damping scales only the transient, never
   // the converged state.
   const std::size_t n = u_.size();
-  const chemistry::Mechanism& mech = *opt_.mechanism;
   for (std::size_t k = 0; k < n; ++k) {
     chem_rho_[k] = w_[k][0];
     chem_t_[k] = gas_->temperature(w_[k][0], w_[k][3]);
   }
-  const std::size_t block = std::max<std::size_t>(opt_.species_block, 1);
-  for (std::size_t i0 = 0; i0 < n; i0 += block) {
-    const std::size_t len = std::min(block, n - i0);
-    // One-temperature coupling: tv = t (the FV gas models are thermally
-    // equilibrated; two-temperature coupling is a roadmap item).
-    mech.mass_production_rates_batch(
-        std::span<const double>(chem_rho_.data() + i0, len),
-        std::span<const double>(ys_.data() + i0, ys_.size() - i0),
-        std::span<const double>(chem_t_.data() + i0, len),
-        std::span<const double>(chem_t_.data() + i0, len),
-        std::span<double>(wdot_.data() + i0, wdot_.size() - i0), n, chem_ws_);
-  }
+  // One-temperature coupling: tv = t (the FV gas models are thermally
+  // equilibrated; two-temperature coupling is a roadmap item).
+  chem_->mass_production_rates(chem_rho_, ys_, chem_t_, chem_t_, wdot_, n);
   for (std::size_t s = 0; s < ns_; ++s) {
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t idx = s * n + k;
@@ -458,101 +381,65 @@ void EulerSolver::accumulate_fluxes() {
     if (wr[3] < e_guard) wr[3] = wp1[3];
   };
 
-  // ---- i-direction sweeps ----
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t jj = 0; jj < static_cast<std::ptrdiff_t>(nj); ++jj) {
-    const auto j = static_cast<std::size_t>(jj);
-    for (std::size_t i = 0; i <= ni; ++i) {
-      const double nx = grid_.iface_nx(i, j);
-      const double nr = grid_.iface_nr(i, j);
-      Primitive wl, wr;
-      if (mms) {
-        // Dirichlet verification mode: every face sees a full MUSCL
-        // stencil, with exact manufactured states beyond the boundary.
-        const auto qi = static_cast<std::ptrdiff_t>(i);
-        face_states(mms_state_i(qi - 2, j), mms_state_i(qi - 1, j),
-                    mms_state_i(qi, j), mms_state_i(qi + 1, j), true, true,
-                    wl, wr);
-      } else if (i == 0) {
-        // Axis/symmetry boundary: mirrored ghost.
-        wl = axis_ghost(w_[cidx(0, j)]);
-        wr = w_[cidx(0, j)];
-      } else if (i == ni) {
-        // Outflow: zero-gradient ghost.
-        wl = w_[cidx(ni - 1, j)];
-        wr = wl;
-      } else {
-        const bool have_m2 = i >= 2;
-        const bool have_p2 = i + 1 < ni;
-        face_states(have_m2 ? w_[cidx(i - 2, j)] : w_[cidx(i - 1, j)],
-                    w_[cidx(i - 1, j)], w_[cidx(i, j)],
-                    have_p2 ? w_[cidx(i + 1, j)] : w_[cidx(i, j)], have_m2,
-                    have_p2, wl, wr);
-      }
-      const Conservative f = hlle_flux(wl, wr, nx, nr);
-      // res accumulates net outflux; update is U -= dt/V res.
-      if (i > 0)
-        for (int k = 0; k < 4; ++k) res_[cidx(i - 1, j)][k] += f[k];
-      if (i < ni)
-        for (int k = 0; k < 4; ++k) res_[cidx(i, j)][k] -= f[k];
-      if (ns_ > 0) species_face_i(i, j, f[0]);
-    }
-  }
-
-  // ---- j-direction sweeps ----
+  // ---- face sweeps: the i-faces of every j-line, then the j-faces of
+  // every i-line ----
   const double e_fs = gas_->energy(fs_.rho, fs_.p);
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(ni); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
-    for (std::size_t j = 0; j <= nj; ++j) {
-      const double nx = grid_.jface_nx(i, j);
-      const double nr = grid_.jface_nr(i, j);
-      Primitive wl, wr;
-      if (mms) {
-        const auto qj = static_cast<std::ptrdiff_t>(j);
-        face_states(mms_state_j(i, qj - 2), mms_state_j(i, qj - 1),
-                    mms_state_j(i, qj), mms_state_j(i, qj + 1), true, true,
-                    wl, wr);
-      } else if (j == 0) {
-        // Wall: ghost below.
-        wr = w_[cidx(i, 0)];
-        wl = wall_ghost(wr, nx, nr);
-      } else if (j == nj) {
-        // Outer boundary: freestream (supersonic inflow).
-        wl = w_[cidx(i, nj - 1)];
-        wr = {fs_.rho, fs_.u, fs_.v, e_fs};
-      } else {
-        const bool have_m2 = j >= 2;
-        const bool have_p2 = j + 1 < nj;
-        face_states(have_m2 ? w_[cidx(i, j - 2)] : w_[cidx(i, j - 1)],
-                    w_[cidx(i, j - 1)], w_[cidx(i, j)],
-                    have_p2 ? w_[cidx(i, j + 1)] : w_[cidx(i, j)], have_m2,
-                    have_p2, wl, wr);
+  for (const Dir d : {Dir::kI, Dir::kJ}) {
+    const std::size_t lines = d == Dir::kI ? nj : ni;
+    for (std::size_t index = 0; index < lines; ++index) {
+      const Line l = line(d, index);
+      auto w = [&](std::size_t q) -> const Primitive& {
+        return w_[l.cell(q)];
+      };
+      for (std::size_t q = 0; q <= l.n; ++q) {
+        const auto [nx, nr] = face_normal(l, q);
+        Primitive wl, wr;
+        if (mms) {
+          // Dirichlet verification mode: every face sees a full MUSCL
+          // stencil, with exact manufactured states beyond the boundary.
+          const auto qs = static_cast<std::ptrdiff_t>(q);
+          face_states(mms_state(l, qs - 2), mms_state(l, qs - 1),
+                      mms_state(l, qs), mms_state(l, qs + 1), true, true,
+                      wl, wr);
+        } else if (q > 0 && q < l.n) {
+          const bool have_m2 = q >= 2;
+          const bool have_p2 = q + 1 < l.n;
+          face_states(have_m2 ? w(q - 2) : w(q - 1), w(q - 1), w(q),
+                      have_p2 ? w(q + 1) : w(q), have_m2, have_p2, wl, wr);
+        } else if (d == Dir::kI) {
+          if (q == 0) {
+            // Axis/symmetry boundary: mirrored ghost.
+            wl = axis_ghost(w(0));
+            wr = w(0);
+          } else {
+            // Outflow: zero-gradient ghost.
+            wl = w(l.n - 1);
+            wr = wl;
+          }
+        } else if (q == 0) {
+          // Wall: ghost below.
+          wr = w(0);
+          wl = wall_ghost(wr, nx, nr);
+        } else {
+          // Outer boundary: freestream (supersonic inflow).
+          wl = w(l.n - 1);
+          wr = {fs_.rho, fs_.u, fs_.v, e_fs};
+        }
+        const Conservative f = hlle_flux(wl, wr, nx, nr);
+        // res accumulates net outflux; update is U -= dt/V res.
+        if (q > 0)
+          for (int k = 0; k < 4; ++k) res_[l.cell(q - 1)][k] += f[k];
+        if (q < l.n)
+          for (int k = 0; k < 4; ++k) res_[l.cell(q)][k] -= f[k];
+        if (ns_ > 0) species_face(l, q, f[0]);
       }
-      const Conservative f = hlle_flux(wl, wr, nx, nr);
-      if (j > 0)
-        for (int k = 0; k < 4; ++k) res_[cidx(i, j - 1)][k] += f[k];
-      if (j < nj)
-        for (int k = 0; k < 4; ++k) res_[cidx(i, j)][k] -= f[k];
-      if (ns_ > 0) species_face_j(i, j, f[0]);
     }
   }
 
   // ---- axisymmetric pressure source (update is U -= dt/V res) ----
   if (grid_.axisymmetric()) {
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(u_.size());
-         ++k) {
-      const std::size_t i = static_cast<std::size_t>(k) / nj;
-      const std::size_t j = static_cast<std::size_t>(k) % nj;
-      res_[k][2] -= p_[k] * grid_.area(i, j);
-    }
+    for (std::size_t k = 0; k < u_.size(); ++k)
+      res_[k][2] -= p_[k] * grid_.area(k / nj, k % nj);
   }
 
   if (opt_.viscous) accumulate_viscous();
@@ -571,7 +458,7 @@ void EulerSolver::accumulate_fluxes() {
   }
 
   // ---- species sources (same sign convention as opt_.source) ----
-  if (chem_active_) {
+  if (chem_) {
     const std::size_t n = u_.size();
     for (std::size_t s = 0; s < ns_; ++s)
       for (std::size_t k = 0; k < n; ++k)
@@ -579,15 +466,12 @@ void EulerSolver::accumulate_fluxes() {
   }
   if (opt_.species_source) {
     const std::size_t n = u_.size();
-    // cat-lint: allow-alloc (hook scratch; no-op after 1st call)
-    thread_local std::vector<double> s_hook;
-    s_hook.resize(ns_);
     for (std::size_t i = 0; i < ni; ++i) {
       for (std::size_t j = 0; j < nj; ++j) {
-        opt_.species_source(grid_.xc(i, j), grid_.rc(i, j), s_hook);
+        opt_.species_source(grid_.xc(i, j), grid_.rc(i, j), s_hook_);
         const double vol = grid_.volume(i, j);
         for (std::size_t s = 0; s < ns_; ++s)
-          res_s_[s * n + cidx(i, j)] -= s_hook[s] * vol;
+          res_s_[s * n + cidx(i, j)] -= s_hook_[s] * vol;
       }
     }
   }
@@ -615,7 +499,7 @@ void EulerSolver::accumulate_viscous() {
       // manufactured value at the extrapolated ghost center.
       const std::ptrdiff_t qg =
           wall_face ? -1 : static_cast<std::ptrdiff_t>(nj);
-      const auto cg = mms_center_j(ib, qg);
+      const auto cg = mms_center(line(Dir::kJ, ib), qg);
       const Primitive wg = opt_.dirichlet(cg[0], cg[1]);
       wa = wall_face ? wg : w_[cidx(ia, ja)];
       wb = wall_face ? w_[cidx(ib, jb)] : wg;
@@ -690,11 +574,7 @@ void EulerSolver::accumulate_viscous() {
     }
   };
 
-#ifdef CATAERO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(ni); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < ni; ++i) {
     for (std::size_t j = 0; j <= nj; ++j) {
       const double nx = grid_.jface_nx(i, j);
       const double nr = grid_.jface_nr(i, j);
@@ -768,7 +648,7 @@ double EulerSolver::advance(std::size_t n) {
     if (ns_ > 0) std::copy(us_.begin(), us_.end(), us0_scratch_.begin());
     for (std::size_t k = 0; k < cells; ++k)
       dts[k] = local_dt(k / grid_.nj(), k % grid_.nj());
-    if (chem_active_) update_chemistry_source(dts);
+    if (chem_) update_chemistry_source(dts);
 
     double rnorm = 0.0;
     for (int stage = 0; stage < 2; ++stage) {
@@ -788,7 +668,7 @@ double EulerSolver::advance(std::size_t n) {
                 dts[k] / grid_.volume(k / grid_.nj(), k % grid_.nj());
             // Point-implicit: damp scales the update, not the converged
             // state (res_s = 0 at steady state regardless of damp).
-            const double dmp = chem_active_ ? damp_[idx] : 1.0;
+            const double dmp = chem_ ? damp_[idx] : 1.0;
             us_[idx] = us0_scratch_[idx] - dmp * s * res_s_[idx];
           }
         }
@@ -808,7 +688,7 @@ double EulerSolver::advance(std::size_t n) {
             const std::size_t idx = sp * cells + k;
             const double s =
                 dts[k] / grid_.volume(k / grid_.nj(), k % grid_.nj());
-            const double dmp = chem_active_ ? damp_[idx] : 1.0;
+            const double dmp = chem_ ? damp_[idx] : 1.0;
             us_[idx] = 0.5 * (us0_scratch_[idx] + us_[idx] -
                               dmp * s * res_s_[idx]);
           }
@@ -827,9 +707,9 @@ std::size_t EulerSolver::solve() {
   std::size_t done = 0;
   const std::size_t chunk = 50;
   while (done < opt_.max_iter) {
-    const double rel = advance(std::min(chunk, opt_.max_iter - done));
-    done += chunk;
-    if (rel < opt_.residual_tol) break;
+    const std::size_t n = std::min(chunk, opt_.max_iter - done);
+    done += n;
+    if (advance(n) < opt_.residual_tol) break;
     if (!std::isfinite(residual_))
       throw SolverError("EulerSolver: residual diverged");
   }

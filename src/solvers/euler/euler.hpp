@@ -7,13 +7,15 @@
 /// This is the "sophisticated multidimensional ideal-gas fluid code" base
 /// that the paper's second approach couples real-gas models to: swap the
 /// GasModel and the same numerics compute reacting-equilibrium flow
-/// (Fig. 4 bow shocks, Fig. 9 when the viscous terms of ns.hpp are added).
-/// The upwind discretization "allows the hypersonic bow shock to be
-/// captured" (paper, Fig. 9 discussion).
+/// (Fig. 4 bow shocks; Fig. 9 with FvOptions::viscous, which adds laminar
+/// thin-layer viscous fluxes and a no-slip isothermal wall). The upwind
+/// discretization "allows the hypersonic bow shock to be captured"
+/// (paper, Fig. 9 discussion).
 
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -77,14 +79,12 @@ struct FvOptions {
   /// Enables species continuity equations d(rho y_s)/dt +
   /// div(rho u y_s) = wdot_s alongside the bulk flow: SoA species planes,
   /// MUSCL-reconstructed mass fractions upwinded by the HLLE mass flux,
-  /// and point-implicit finite-rate sources via the batched chemistry
-  /// kernels (chemistry/batch.hpp). First coupling step: one-way (flow
-  /// drives chemistry; no energy/EOS feedback, no species diffusion).
+  /// and point-implicit finite-rate sources from a serial
+  /// chemistry::BatchEvaluator at its default block size. A mechanism
+  /// with no reactions runs frozen advection. First coupling step: one-way
+  /// (flow drives chemistry; no energy/EOS feedback, no species diffusion).
   std::shared_ptr<const chemistry::Mechanism> mechanism;
-  bool finite_rate = true;         ///< chemistry sources on (false = frozen advection)  // cat-lint: dimensionless
   std::vector<double> species_y0;  ///< freestream/initial mass fractions  // cat-lint: dimensionless
-  /// Cells per batched-chemistry call (cache blocking).
-  std::size_t species_block = chemistry::BatchEvaluator::kDefaultBlock;  // cat-lint: dimensionless
   SpeciesSourceHook species_source;        ///< verification forcing (null = off)
   SpeciesDirichletHook species_dirichlet;  ///< verification boundaries
 };
@@ -191,14 +191,31 @@ class EulerSolver {
   Primitive wall_ghost(const Primitive& inside, double nx, double nr) const;
   Primitive axis_ghost(const Primitive& inside) const;
 
-  /// Dirichlet-mode stencil access along a sweep line: interior indices
-  /// return the cell state, out-of-range indices return the exact hook
+  /// Face-sweep direction: kI walks the i-faces of a j-line (axis at
+  /// q = 0, outflow at q = ni), kJ the j-faces of an i-line (wall at
+  /// q = 0, freestream at q = nj).
+  enum class Dir { kI, kJ };
+  /// One grid line of a sweep: n cells, cell q at first + q * stride,
+  /// faces q = 0..n (face q between cells q - 1 and q).
+  struct Line {
+    Dir dir;
+    std::size_t index;  ///< j of an i-line sweep, i of a j-line sweep
+    std::size_t first, stride, n;
+    std::size_t cell(std::size_t q) const { return first + q * stride; }
+  };
+  Line line(Dir d, std::size_t index) const {
+    if (d == Dir::kI) return {d, index, index, grid_.nj(), grid_.ni()};
+    return {d, index, index * grid_.nj(), 1, grid_.nj()};
+  }
+  /// Area-weighted normal of face q of a line (pointing toward +q).
+  std::array<double, 2> face_normal(const Line& l, std::size_t q) const;
+
+  /// Dirichlet-mode stencil access along a sweep line: interior positions
+  /// return the cell state, out-of-range positions return the exact hook
   /// state at a ghost center extrapolated from the two nearest interior
   /// centers (exact on the uniform verification grids).
-  std::array<double, 2> mms_center_i(std::ptrdiff_t qi, std::size_t j) const;
-  std::array<double, 2> mms_center_j(std::size_t i, std::ptrdiff_t qj) const;
-  Primitive mms_state_i(std::ptrdiff_t qi, std::size_t j) const;
-  Primitive mms_state_j(std::size_t i, std::ptrdiff_t qj) const;
+  std::array<double, 2> mms_center(const Line& l, std::ptrdiff_t q) const;
+  Primitive mms_state(const Line& l, std::ptrdiff_t q) const;
 
   void accumulate_fluxes();
   void accumulate_viscous();
@@ -207,25 +224,26 @@ class EulerSolver {
   // ---- species transport (SoA planes, pitch = cell count; empty when no
   // mechanism is configured) ----
   std::size_t ns_ = 0;       ///< species count (0 = single fluid)
-  bool chem_active_ = false; ///< finite-rate sources on (mechanism reacts)
   std::vector<double> us_;          ///< conservative rho y_s
   std::vector<double> ys_;          ///< primitive mass fractions
   std::vector<double> res_s_;       ///< species residuals
   std::vector<double> us0_scratch_; ///< RK2 stage-0 species state
+  std::vector<double> y_stencil_;   ///< 4 x ns face-stencil fractions
+  std::vector<double> s_hook_;      ///< species_source hook output
+  /// Finite-rate chemistry (engaged when the mechanism reacts).
+  std::optional<chemistry::BatchEvaluator> chem_;
   std::vector<double> wdot_;        ///< finite-rate sources [kg/(m^3 s)]
   std::vector<double> damp_;        ///< point-implicit factors 1/(1+dt L)
   std::vector<double> chem_rho_;    ///< contiguous rho for the batch kernel
   std::vector<double> chem_t_;      ///< contiguous T for the batch kernel
-  chemistry::BatchWorkspace chem_ws_;
 
   void decode_species();
   /// Batched finite-rate sources + point-implicit damping factors from the
   /// current field (lagged one iteration — steady-state consistent).
   void update_chemistry_source(const std::vector<double>& dts);
-  /// Species upwind flux through one face, riding on the HLLE mass flux
-  /// f0; sweep direction picks the stencil axis.
-  void species_face_i(std::size_t i, std::size_t j, double f0);
-  void species_face_j(std::size_t i, std::size_t j, double f0);
+  /// Species upwind flux through face q of a line, riding on the HLLE
+  /// mass flux f0.
+  void species_face(const Line& l, std::size_t q, double f0);
 };
 
 }  // namespace cat::solvers

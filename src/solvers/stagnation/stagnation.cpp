@@ -276,8 +276,8 @@ StagnationSolution StagnationLineSolver::solve(
 
   // ---- tangent-slab radiative flux -------------------------------------
   if (opt_.include_radiation) {
-    radiation::SpectralGrid grid(opt_.lambda_min_m, opt_.lambda_max_m,
-                                 opt_.n_spectral);
+    // Spectral window [m]: the UV-visible-near-IR band of the shock layer.
+    radiation::SpectralGrid grid(0.2e-6, 1.2e-6, opt_.n_spectral);
     std::vector<radiation::SlabLayer> layers;
     const std::size_t np = out.y_phys.size();
     const std::size_t stride = std::max<std::size_t>(1, np / opt_.n_slab);

@@ -60,8 +60,7 @@ struct StagnationOptions {
   double eta_max = 8.0;  ///< outer edge of similarity layer  // cat-lint: dimensionless
   std::size_t n_table = 60;      ///< enthalpy table resolution
   std::size_t n_slab = 40;       ///< radiation slab layers
-  std::size_t n_spectral = 160;  ///< spectral bins for q_rad
-  double lambda_min_m = 0.2e-6, lambda_max_m = 1.2e-6;  ///< spectral window [m]
+  std::size_t n_spectral = 160;  ///< spectral bins for q_rad (0.2-1.2 um)
   bool include_radiation = true;
 };
 

@@ -414,7 +414,7 @@ VslSolver::VslSolver(const gas::EquilibriumSolver& eq, MarchOptions opt)
 std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
                                               const MarchFreestream& fs,
                                               double s_min, double s_max,
-                                              std::size_t n, bool vigneron) const {
+                                              std::size_t n) const {
   CAT_REQUIRE(n >= 2 && s_max > s_min && s_min > 0.0, "bad station range");
   transport::MixtureTransport trans(eq_.mixture());
   const auto cold = eq_.solve_tp(std::max(fs.t, 160.0), fs.p);
@@ -448,16 +448,6 @@ std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
     e.rho_e = st.rho;
     e.t_e = st.t;
     e.mu_e = trans.viscosity(st.y, st.t);
-    e.vigneron_omega = 1.0;
-    if (vigneron) {
-      // Vigneron splitting: fraction of dp/ds admitted in subsonic layers,
-      // omega = gamma M^2 / (1 + (gamma-1) M^2), capped at 1.
-      const double a_e = eq_.mixture().frozen_sound_speed(st.y, st.t);
-      const double m_e = e.ue / a_e;
-      const double gam = eq_.mixture().gamma_frozen(st.y, st.t);
-      e.vigneron_omega = std::min(
-          1.0, gam * m_e * m_e / (1.0 + (gam - 1.0) * m_e * m_e));
-    }
     edges.push_back(e);
   }
   return edges;
@@ -466,8 +456,7 @@ std::vector<MarchEdge> VslSolver::build_edges(const geometry::Body& body,
 std::vector<MarchStationResult> VslSolver::solve(
     const geometry::Body& body, const MarchFreestream& fs, double s_min,
     double s_max, std::size_t n_stations) const {
-  const auto edges =
-      build_edges(body, fs, s_min, s_max, n_stations, /*vigneron=*/false);
+  const auto edges = build_edges(body, fs, s_min, s_max, n_stations);
   const auto cold = eq_.solve_tp(std::max(fs.t, 160.0), fs.p);
   const double h_total = cold.h + 0.5 * fs.velocity * fs.velocity;
   ParabolicMarcher marcher(make_equilibrium_props(eq_), opt_);

@@ -185,11 +185,12 @@ class VslSolver {
                                         double s_min, double s_max,
                                         std::size_t n_stations) const;
 
-  /// Edge construction exposed for tests and for the PNS front end.
+  /// Edge construction (no Vigneron splitting: omega = 1), exposed for
+  /// tests.
   std::vector<MarchEdge> build_edges(const geometry::Body& body,
                                      const MarchFreestream& fs, double s_min,
-                                     double s_max, std::size_t n_stations,
-                                     bool vigneron) const;
+                                     double s_max,
+                                     std::size_t n_stations) const;
 
  private:
   const gas::EquilibriumSolver& eq_;

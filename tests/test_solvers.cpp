@@ -297,6 +297,30 @@ TEST(Euler, PreservesUniformFreestream) {
   }
 }
 
+TEST(Euler, SolveReportsTheIterationsItAdvanced) {
+  // A budget that is not a multiple of solve()'s 50-iteration chunk: the
+  // last chunk is cut short, and the count must say so.
+  geometry::Sphere body(0.1);
+  auto g = grid::make_normal_grid(
+      body, body.total_arc_length(), 12, 12,
+      [](double) { return 0.08; }, 1.3);
+  auto gas_model =
+      std::make_shared<core::IdealGasModel>(gas::IdealGas(1.4, 287.0));
+  solvers::FvOptions opt;
+  opt.max_iter = 120;
+  opt.residual_tol = 0.0;  // unreachable: the solve runs its whole budget
+  const solvers::FreeStream fs{0.05, 3000.0, 0.0, 2000.0};
+  solvers::EulerSolver solver(g, gas_model, opt);
+  solver.initialize(fs);
+  EXPECT_EQ(solver.solve(), 120u);
+  // Same state as advancing exactly 120 iterations.
+  solvers::EulerSolver twin(g, gas_model, opt);
+  twin.initialize(fs);
+  twin.advance(120);
+  EXPECT_EQ(solver.residual(), twin.residual());
+  EXPECT_EQ(solver.primitive(0, 0), twin.primitive(0, 0));
+}
+
 TEST(Euler, Mach20HemisphereAnchors) {
   // Coarse-grid ideal-gas anchors: pitot pressure and stagnation
   // temperature (total temperature) at M = 20.
@@ -524,8 +548,7 @@ TEST(MarchFrontEnd, NoseRadiusMetricUsesStagnationLimit) {
   const solvers::MarchFreestream fs{6500.0, a.density, a.pressure,
                                     a.temperature};
   const DegenerateNose body(0.3);
-  const auto edges =
-      vsl.build_edges(body, fs, 0.002, 0.12, 8, /*vigneron=*/false);
+  const auto edges = vsl.build_edges(body, fs, 0.002, 0.12, 8);
   for (const auto& e : edges) {
     if (body.at(e.s).r == 0.0) {
       EXPECT_NEAR(e.r, e.s, 1e-12) << "stagnation-limit fallback at s=" << e.s;

@@ -8,16 +8,21 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "chemistry/batch.hpp"
 #include "chemistry/reaction.hpp"
 #include "chemistry/source.hpp"
+#include "core/gas_model.hpp"
 #include "gas/equilibrium.hpp"
+#include "grid/grid.hpp"
 #include "numerics/tridiag_batch.hpp"
 #include "scenario/surrogate.hpp"
 #include "solvers/correlations/correlations.hpp"
+#include "solvers/euler/euler.hpp"
 #include "solvers/relax1d/relax1d.hpp"
 
 namespace {
@@ -247,6 +252,59 @@ TEST(WorkspaceAlloc, RelaxationSolveAllocsIndependentOfStepCount) {
       << "relaxation right-hand side allocated (short=" << short_run.allocs
       << " allocations over " << short_run.rhs_calls << " RHS calls, long="
       << long_run.allocs << " over " << long_run.rhs_calls << ")";
+}
+
+// Finite-volume iteration: the flux sweeps, the species face stencils, the
+// species source hook and the batched finite-rate chemistry all run on
+// scratch held by the solver. After a warm-up, advancing 2 or 20
+// iterations must allocate the same amount, with and without the species
+// verification hooks (which route the stencil through the exact-state
+// ghosts and the source through the hook buffer).
+TEST(WorkspaceAlloc, EulerAdvanceAllocsIndependentOfIterationCount) {
+  const auto mech =
+      std::make_shared<chemistry::Mechanism>(chemistry::park_air5());
+  grid::StructuredGrid g(32, 32);
+  for (std::size_t i = 0; i <= 32; ++i) {
+    for (std::size_t j = 0; j <= 32; ++j) {
+      g.xn(i, j) = static_cast<double>(i) / 32.0;
+      g.rn(i, j) = static_cast<double>(j) / 32.0;
+    }
+  }
+  g.compute_metrics(false);
+  const auto gas =
+      std::make_shared<core::IdealGasModel>(gas::IdealGas(1.4, 287.053));
+  std::vector<double> y0(mech->n_species(), 0.0);
+  y0[mech->species_set().local_index("N2")] = 0.767;
+  y0[mech->species_set().local_index("O2")] = 0.233;
+
+  auto allocs = [&](bool hooks, std::size_t iterations) {
+    solvers::FvOptions opt;
+    opt.startup_iters = 0;
+    opt.mechanism = mech;
+    opt.species_y0 = y0;
+    if (hooks) {
+      opt.species_dirichlet = [&y0](double, double, std::span<double> y) {
+        for (std::size_t s = 0; s < y.size(); ++s) y[s] = y0[s];
+      };
+      opt.species_source = [](double, double, std::span<double> s_out) {
+        for (double& s : s_out) s = 0.0;
+      };
+    }
+    solvers::EulerSolver solver(g, gas, opt);
+    // Supersonic inflow hot enough (T ~ 6000 K) that every reaction runs.
+    solver.initialize({0.02, 2500.0, 0.0, 0.02 * 287.053 * 6000.0});
+    solver.advance(1);  // warm up
+    AllocCounterScope scope;
+    solver.advance(iterations);
+    return scope.count();
+  };
+  for (const bool hooks : {false, true}) {
+    const std::size_t short_run = allocs(hooks, 2);
+    const std::size_t long_run = allocs(hooks, 20);
+    EXPECT_EQ(long_run, short_run)
+        << "FV iteration allocated (hooks=" << hooks << ": 2 iterations "
+        << short_run << ", 20 iterations " << long_run << ")";
+  }
 }
 
 // Equilibrium inversions: a solve_ph allocates its per-call scratch, the

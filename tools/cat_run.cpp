@@ -136,10 +136,10 @@ int compare_fidelity(const scenario::Case& base, std::size_t threads) {
                  "error: nominal solve failed; no deviation reference\n");
     return 2;
   }
-  // Peak heating for marching families (no single q_conv), stagnation
-  // value otherwise.
+  // Peak wall heating for marching families (VSL, PNS, E+BL: no single
+  // q_conv), stagnation value otherwise.
   auto heating_of = [](const scenario::CaseResult& r) {
-    for (const char* name : {"q_conv", "q_peak", "q_w_peak"})
+    for (const char* name : {"q_conv", "peak_q_w"})
       for (const auto& m : r.metrics)
         if (m.name == name) return m.value;
     return std::nan("");

@@ -95,6 +95,7 @@ DEFAULT_ALLOC_FREE_TUS = [
     "src/scenario/surrogate_query.cpp",
     "src/solvers/correlations/correlations.cpp",
     "src/solvers/relax1d/relax1d.cpp",
+    "src/transport/transport.cpp",
 ]
 
 # Physics-layer headers whose Case/FlightCondition/*Options structs carry

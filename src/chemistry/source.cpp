@@ -18,8 +18,7 @@ IsochoricReactor::IsochoricReactor(const Mechanism& mech) : mech_(mech) {
   inv_m_.reserve(ns);
   for (std::size_t s = 0; s < ns; ++s) {
     const gas::Species& sp = mech_.species_set().species(s);
-    h_const_.push_back(sp.h_formation_298 -
-                       gas::reference_thermal_enthalpy(sp));
+    h_const_.push_back(sp.h_formation_298 - sp.h_thermal_298);
     inv_m_.push_back(1.0 / sp.molar_mass);
   }
   y_scratch_.resize(ns);
@@ -109,8 +108,7 @@ TwoTemperatureReactor::TwoTemperatureReactor(const Mechanism& mech)
   etr_coeff_.reserve(ns);
   for (std::size_t s = 0; s < ns; ++s) {
     const gas::Species& sp = mech_.species_set().species(s);
-    h_const_.push_back(sp.h_formation_298 -
-                       gas::reference_thermal_enthalpy(sp));
+    h_const_.push_back(sp.h_formation_298 - sp.h_thermal_298);
     inv_m_.push_back(1.0 / sp.molar_mass);
     double coeff = 1.5 * kRu;
     if (sp.rotor == gas::RotorType::kLinear) coeff += kRu;

@@ -184,8 +184,10 @@ struct EquilibriumSolver::Scratch {
   std::span<const double> seed;
   std::vector<double> buf;
   // Newton state and temporaries; cont carries the potentials along the
-  // cold path's temperature continuation.
-  std::span<double> mu0, x, best_x, y, ax, res, step, lu_tmp, pi_u, cont;
+  // cold path's temperature continuation. h_mass holds each species'
+  // enthalpy_mass at the temperature of the latest Newton solve.
+  std::span<double> mu0, h_mass, x, best_x, y, ax, res, step, lu_tmp, pi_u,
+      cont;
   Matrix jac, lu;
   std::vector<std::size_t> piv;
   std::array<Trial, kMemory> memory;
@@ -200,7 +202,7 @@ EquilibriumSolver::Scratch::Scratch(const EquilibriumSolver& eq)
       piv(jac.rows()) {
   const std::size_t ns = eq.mix_.n_species();
   const std::size_t ne = eq.active_elements_.size(), m = ne + 1;
-  buf.assign(4 * ns + ne + 5 * m + kMemory * (m + ns), 0.0);
+  buf.assign(5 * ns + ne + 5 * m + kMemory * (m + ns), 0.0);
   std::size_t used = 0;
   auto take = [&](std::size_t n) {
     const std::span<double> out = std::span<double>(buf).subspan(used, n);
@@ -208,6 +210,7 @@ EquilibriumSolver::Scratch::Scratch(const EquilibriumSolver& eq)
     return out;
   };
   mu0 = take(ns);
+  h_mass = take(ns);
   x = take(ns);
   best_x = take(ns);
   y = take(ns);
@@ -238,11 +241,14 @@ bool EquilibriumSolver::newton(double t, double p,
   const std::size_t ne = active_elements_.size();
 
   // mu0[s] = g_s(T, p_ref)/(Ru T) + ln(p/p_ref): standard-state chemical
-  // potential in Ru*T units at the mixture pressure.
+  // potential in Ru*T units at the mixture pressure, g = h - T s from one
+  // thermodynamic pass per species. The same pass leaves each species'
+  // enthalpy for evaluate().
   for (std::size_t s = 0; s < ns; ++s) {
-    ws.mu0[s] =
-        gibbs_mole(mix_.set().species(s), t, kPressureRef) / (kRu * t) +
-        std::log(p / kPressureRef);
+    const Species& sp = mix_.set().species(s);
+    const EnthalpyEntropy hs = enthalpy_entropy_mole(sp, t, kPressureRef);
+    ws.mu0[s] = (hs.h - t * hs.s) / (kRu * t) + std::log(p / kPressureRef);
+    ws.h_mass[s] = hs.h / sp.molar_mass;
   }
 
   double b_scale = 0.0;
@@ -392,12 +398,16 @@ const EquilibriumSolver::Trial& EquilibriumSolver::evaluate(
   st.has_potentials = converged;
   std::copy(ws.pi_u.begin(), ws.pi_u.end(), st.pi_u.begin());
   std::copy(ws.x.begin(), ws.x.end(), st.x.begin());
-  // The totals package() reports, computed here once per state.
+  // The totals package() reports, computed here once per state. Newton's
+  // last pass was at (t, p), so ws.h_mass holds the species enthalpies at
+  // t (Mixture::enthalpy_mass's sum, without evaluating them again).
   mix_.mass_fractions_from_moles(st.x, ws.y);
   st.molar_mass = 0.0;
-  for (std::size_t s = 0; s < mix_.n_species(); ++s)
+  st.h = 0.0;
+  for (std::size_t s = 0; s < mix_.n_species(); ++s) {
     st.molar_mass += st.x[s] * mix_.set().species(s).molar_mass;
-  st.h = mix_.enthalpy_mass(ws.y, t);
+    if (ws.y[s] != 0.0) st.h += ws.y[s] * ws.h_mass[s];
+  }
   return st;
 }
 

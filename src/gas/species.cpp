@@ -4,6 +4,7 @@
 
 #include "core/error.hpp"
 #include "gas/constants.hpp"
+#include "gas/thermo.hpp"
 
 namespace cat::gas {
 
@@ -209,6 +210,12 @@ SpeciesDatabase::SpeciesDatabase() {
   species_.push_back(atom(
       "Ar", 39.948e-3, 0, 0, 0, 0, 1, 0, EL{{1, 0.0}}, 0.0, std::nullopt,
       3.4e-10));
+  CAT_REQUIRE(species_.size() == kNumDatabaseSpecies,
+              "kNumDatabaseSpecies must match the database");
+  const double t_ref = constants::kTemperatureRef;
+  for (Species& s : species_)
+    s.h_thermal_298 =
+        internal_energy_thermal(s, t_ref) + constants::kRu * t_ref;
 }
 
 const SpeciesDatabase& SpeciesDatabase::instance() {

@@ -8,7 +8,9 @@
 /// temperatures, low-lying electronic levels, and the 298.15 K formation
 /// enthalpy (stationary-electron convention for ions). Transport data
 /// (Blottner curve fits where published, hard-sphere diameters otherwise)
-/// live here too so that every physics module draws from one source.
+/// live here too so that every physics module draws from one source. The
+/// database also stores each species' 298.15 K reference thermal enthalpy,
+/// evaluated once from that data when the database is built.
 
 #include <array>
 #include <cstdint>
@@ -26,6 +28,10 @@ namespace cat::gas {
 enum class Element : std::uint8_t { kN = 0, kO, kC, kH, kAr, kCharge, kCount };
 
 constexpr std::size_t kNumElements = static_cast<std::size_t>(Element::kCount);
+
+/// Number of species in SpeciesDatabase: the bound on any SpeciesSet's
+/// size, so per-species scratch can live in fixed-size stack arrays.
+constexpr std::size_t kNumDatabaseSpecies = 25;
 
 /// One harmonic vibrational mode: characteristic temperature and degeneracy.
 struct VibMode {
@@ -65,6 +71,10 @@ struct Species {
   std::vector<ElectronicLevel> electronic;  ///< at least the ground level
 
   double h_formation_298;  ///< [J/mol], 298.15 K, 1 bar
+  /// Thermal enthalpy h_th(298.15) = e_th(298.15) + Ru*298.15 [J/mol], the
+  /// reference every absolute enthalpy subtracts (gas/thermo.hpp). Set once
+  /// by SpeciesDatabase from the spectroscopic data above.
+  double h_thermal_298 = 0.0;
 
   std::optional<BlottnerFit> blottner;  ///< air species have published fits
   double hs_diameter = 3.5e-10;         ///< hard-sphere fallback [m]

@@ -22,8 +22,12 @@ using detail::vib_cv_mode;
 using detail::vib_energy_mode;
 }  // namespace
 
-double internal_energy_thermal(const Species& s, double t) {
-  CAT_REQUIRE(t > 0.0, "temperature must be positive");
+namespace {
+
+// The per-temperature pieces of internal_energy_thermal and entropy_mole,
+// given the electronic sums at t: one definition for the separate calls
+// and for enthalpy_entropy_mole, which shares one electronic pass.
+double thermal_energy(const Species& s, double t, const ElectronicState& el) {
   double e = 1.5 * kRu * t;  // translation
   if (s.rotor == RotorType::kLinear) {
     e += kRu * t;
@@ -32,35 +36,12 @@ double internal_energy_thermal(const Species& s, double t) {
   }
   for (const auto& mode : s.vib)
     e += mode.degeneracy * vib_energy_mode(mode.theta, t);
-  e += electronic_state(s, t).e;
+  e += el.e;
   return e;
 }
 
-double cv_mole(const Species& s, double t) {
-  CAT_REQUIRE(t > 0.0, "temperature must be positive");
-  double cv = 1.5 * kRu;
-  if (s.rotor == RotorType::kLinear) {
-    cv += kRu;
-  } else if (s.rotor == RotorType::kNonlinear) {
-    cv += 1.5 * kRu;
-  }
-  for (const auto& mode : s.vib)
-    cv += mode.degeneracy * vib_cv_mode(mode.theta, t);
-  cv += electronic_state(s, t).cv;
-  return cv;
-}
-
-double cp_mole(const Species& s, double t) { return cv_mole(s, t) + kRu; }
-
-double enthalpy_mole(const Species& s, double t) {
-  const double t_ref = constants::kTemperatureRef;
-  const double h_th = internal_energy_thermal(s, t) + kRu * t;
-  const double h_th_ref = internal_energy_thermal(s, t_ref) + kRu * t_ref;
-  return s.h_formation_298 + (h_th - h_th_ref);
-}
-
-double entropy_mole(const Species& s, double t, double p) {
-  CAT_REQUIRE(t > 0.0 && p > 0.0, "state must be positive");
+double entropy_of(const Species& s, double t, double p,
+                  const ElectronicState& el) {
   const double m = s.molar_mass / kAvogadro;  // particle mass [kg]
   // Translational (Sackur-Tetrode).
   const double lambda3 =
@@ -82,23 +63,61 @@ double entropy_mole(const Species& s, double t, double p) {
     const double x = mode.theta / t;
     if (x > 500.0) continue;
     const double em = std::exp(-x);
-    entropy += mode.degeneracy * kRu * (x * em / (1.0 - em) - std::log(1.0 - em));
+    entropy +=
+        mode.degeneracy * kRu * (x * em / (1.0 - em) - std::log(1.0 - em));
   }
   // Electronic.
-  const ElectronicState el = electronic_state(s, t);
   entropy += kRu * std::log(el.q) + el.e / t;
   return entropy;
 }
 
-double gibbs_mole(const Species& s, double t, double p) {
-  return enthalpy_mole(s, t) - t * entropy_mole(s, t, p);
+}  // namespace
+
+double internal_energy_thermal(const Species& s, double t) {
+  CAT_REQUIRE(t > 0.0, "temperature must be positive");
+  return thermal_energy(s, t, electronic_state(s, t));
+}
+
+double cv_mole(const Species& s, double t) {
+  CAT_REQUIRE(t > 0.0, "temperature must be positive");
+  double cv = 1.5 * kRu;
+  if (s.rotor == RotorType::kLinear) {
+    cv += kRu;
+  } else if (s.rotor == RotorType::kNonlinear) {
+    cv += 1.5 * kRu;
+  }
+  for (const auto& mode : s.vib)
+    cv += mode.degeneracy * vib_cv_mode(mode.theta, t);
+  cv += electronic_state(s, t).cv;
+  return cv;
+}
+
+double cp_mole(const Species& s, double t) { return cv_mole(s, t) + kRu; }
+
+double enthalpy_mole(const Species& s, double t) {
+  const double h_th = internal_energy_thermal(s, t) + kRu * t;
+  return s.h_formation_298 + (h_th - s.h_thermal_298);
+}
+
+double entropy_mole(const Species& s, double t, double p) {
+  CAT_REQUIRE(t > 0.0 && p > 0.0, "state must be positive");
+  return entropy_of(s, t, p, electronic_state(s, t));
+}
+
+EnthalpyEntropy enthalpy_entropy_mole(const Species& s, double t, double p) {
+  CAT_REQUIRE(t > 0.0 && p > 0.0, "state must be positive");
+  const ElectronicState el = electronic_state(s, t);
+  const double h_th = thermal_energy(s, t, el) + kRu * t;
+  return {s.h_formation_298 + (h_th - s.h_thermal_298),
+          entropy_of(s, t, p, el)};
 }
 
 ThermoEval evaluate(const Species& s, double t, double p) {
   ThermoEval out;
   out.cp = cp_mole(s, t);
-  out.h = enthalpy_mole(s, t);
-  out.s = entropy_mole(s, t, p);
+  const EnthalpyEntropy hs = enthalpy_entropy_mole(s, t, p);
+  out.h = hs.h;
+  out.s = hs.s;
   out.g = out.h - t * out.s;
   return out;
 }
@@ -106,9 +125,7 @@ ThermoEval evaluate(const Species& s, double t, double p) {
 GibbsConstants make_gibbs_constants(const Species& s, double p) {
   CAT_REQUIRE(p > 0.0, "pressure must be positive");
   GibbsConstants gc{};
-  const double t_ref = constants::kTemperatureRef;
-  gc.h_const = s.h_formation_298 -
-               (internal_energy_thermal(s, t_ref) + kRu * t_ref);
+  gc.h_const = s.h_formation_298 - s.h_thermal_298;
   const double m = s.molar_mass / kAvogadro;
   // Sackur-Tetrode split: s_trans = Ru (2.5 ln T + ln(C kB / p) + 2.5)
   // with C = (2 pi m kB / h^2)^1.5.
@@ -175,11 +192,6 @@ ThermalEnergyCv thermal_energy_cv(const Species& s, double t) {
   e += el.e;
   cv += el.cv;
   return {e, cv};
-}
-
-double reference_thermal_enthalpy(const Species& s) {
-  const double t_ref = constants::kTemperatureRef;
-  return internal_energy_thermal(s, t_ref) + kRu * t_ref;
 }
 
 double vibronic_energy_mole(const Species& s, double tv) {

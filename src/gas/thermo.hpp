@@ -41,14 +41,22 @@ double cv_mole(const Species& s, double t);
 double cp_mole(const Species& s, double t);
 
 /// Absolute enthalpy [J/mol]: formation enthalpy at 298.15 K plus thermal
-/// enthalpy difference h_th(T) - h_th(298.15).
+/// enthalpy difference h_th(T) - h_th(298.15). The reference h_th(298.15)
+/// is the database's per-species constant Species::h_thermal_298.
 double enthalpy_mole(const Species& s, double t);
 
 /// Entropy [J/(mol K)] at temperature \p t and pressure \p p.
 double entropy_mole(const Species& s, double t, double p);
 
-/// Gibbs free energy [J/mol] at (t, p).
-double gibbs_mole(const Species& s, double t, double p);
+/// Enthalpy and entropy at one (t, p) from one pass over the species data
+/// (the electronic sums are evaluated once, not once per property). Each
+/// member equals the separate enthalpy_mole / entropy_mole call bit for
+/// bit, so the Gibbs energy h - t s is the same number too.
+struct EnthalpyEntropy {
+  double h;  ///< enthalpy_mole(s, t) [J/mol]
+  double s;  ///< entropy_mole(s, t, p) [J/(mol K)]
+};
+EnthalpyEntropy enthalpy_entropy_mole(const Species& s, double t, double p);
 
 /// All properties at once (cheaper than separate calls).
 ThermoEval evaluate(const Species& s, double t, double p);
@@ -64,7 +72,7 @@ ThermoEval evaluate(const Species& s, double t, double p);
 /// temperature instead of once per stoichiometric entry per reaction.
 
 struct GibbsConstants {
-  double h_const;      ///< h_formation_298 - h_th(298.15) - Ru*298.15 [J/mol]
+  double h_const;      ///< h_formation_298 - h_thermal_298 [J/mol]
   double h_lin_coeff;  ///< coefficient of T in h: (2.5 + rot) * Ru [J/(mol K)]
   double s_logt_coeff; ///< coefficient of ln T in s [J/(mol K)]
   double s_const;      ///< T-independent entropy part at the bound p [J/(mol K)]
@@ -73,8 +81,9 @@ struct GibbsConstants {
 /// Precompute the temperature-independent parts of g(T, p) for \p s.
 GibbsConstants make_gibbs_constants(const Species& s, double p);
 
-/// gibbs_mole(s, t, p) through precomputed constants: identical physics to
-/// gibbs_mole (agreement to roundoff), roughly 3x fewer transcendentals.
+/// g = h - t s through precomputed constants: identical physics to
+/// enthalpy_entropy_mole (agreement to roundoff, not bitwise), roughly 3x
+/// fewer transcendentals.
 double gibbs_mole_fast(const Species& s, const GibbsConstants& gc, double t);
 
 /// Fused thermal internal energy and cv at one temperature: one pass over
@@ -85,10 +94,6 @@ struct ThermalEnergyCv {
   double cv;  ///< cv_mole(s, t) [J/(mol K)]
 };
 ThermalEnergyCv thermal_energy_cv(const Species& s, double t);
-
-/// Reference thermal enthalpy h_th(298.15) = e_th(298.15) + Ru*298.15
-/// [J/mol] — a per-species constant worth hoisting out of RHS loops.
-double reference_thermal_enthalpy(const Species& s);
 
 /// --- vibrational-mode partial properties (two-temperature model) -------
 

@@ -70,10 +70,9 @@ void enthalpy_mole_batch(const Species& s, std::span<const double> t,
                          std::span<double> out) {
   const std::size_t n = t.size();
   CAT_REQUIRE(out.size() == n, "batch spans must have equal length");
-  // Reference thermal enthalpy depends only on the species: evaluate it
-  // once per call instead of once per cell. Bitwise-safe — it is the same
-  // function of the same inputs the scalar path computes per cell.
-  const double h_th_ref = reference_thermal_enthalpy(s);
+  // The reference thermal enthalpy is the species' stored constant, the
+  // same one the scalar enthalpy_mole reads.
+  const double h_th_ref = s.h_thermal_298;
   for (std::size_t i = 0; i < n; ++i) {
     const double ti = t[i];
     // internal_energy_thermal(s, t) replicated term for term (the two-term

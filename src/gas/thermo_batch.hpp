@@ -37,8 +37,7 @@ void gibbs_mole_fast_batch(const Species& s, const GibbsConstants& gc,
 void cp_mole_batch(const Species& s, std::span<const double> t,
                    std::span<double> out);
 
-/// out[i] = enthalpy_mole(s, t[i]), bitwise. The 298.15 K reference
-/// enthalpy is evaluated once per call instead of once per cell.
+/// out[i] = enthalpy_mole(s, t[i]), bitwise.
 void enthalpy_mole_batch(const Species& s, std::span<const double> t,
                          std::span<double> out);
 

@@ -62,9 +62,7 @@ double TwoTemperatureGas::energy(std::span<const double> y, double t,
   for (std::size_t s = 0; s < y.size(); ++s) {
     if (y[s] == 0.0) continue;
     const Species& sp = mix_.set().species(s);
-    const double t_ref = constants::kTemperatureRef;
-    const double h_th_ref =
-        internal_energy_thermal(sp, t_ref) + kRu * t_ref;
+    const double h_th_ref = sp.h_thermal_298;
     double e_mole;
     if (sp.is_electron()) {
       // Electron translation rides the vibronic pool.

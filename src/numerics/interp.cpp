@@ -47,6 +47,7 @@ Pchip::Pchip(std::vector<double> x, std::vector<double> y)
   CAT_REQUIRE(x_.size() == y_.size(), "x/y size mismatch");
   check_monotone(x_);
   const std::size_t n = x_.size();
+  inv_mean_h_ = static_cast<double>(n - 1) / (x_.back() - x_.front());
   std::vector<double> h(n - 1), delta(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     h[i] = x_[i + 1] - x_[i];
@@ -80,23 +81,37 @@ Pchip::Pchip(std::vector<double> x, std::vector<double> y)
 }
 
 std::size_t Pchip::locate(double x) const {
+  // The interval upper_bound picks, clamped to [0, n-2]. On (near-)uniform
+  // nodes the scaled offset lands on it or on a neighbour, and the guess is
+  // kept only when the nodes confirm it, so the answer is upper_bound's in
+  // O(1). Anything else (NaN, strongly nonuniform nodes) is searched.
+  const std::size_t last = x_.size() - 2;
+  const double f = (x - x_.front()) * inv_mean_h_;
+  if (f >= 0.0) {
+    std::size_t i = f >= static_cast<double>(last)
+                        ? last
+                        : static_cast<std::size_t>(f);
+    if (i > 0 && x < x_[i]) {
+      --i;
+    } else if (i < last && x >= x_[i + 1]) {
+      ++i;
+    }
+    if ((i == 0 || x_[i] <= x) && (i == last || x < x_[i + 1])) return i;
+  }
   const auto it = std::upper_bound(x_.begin(), x_.end(), x);
   const std::ptrdiff_t idx = std::distance(x_.begin(), it) - 1;
   return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(x_.size()) - 2));
+      std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(last)));
 }
 
-double Pchip::operator()(double x) const {
+Pchip::Basis Pchip::basis(double x) const {
   x = std::clamp(x, x_.front(), x_.back());
   const std::size_t i = locate(x);
   const double h = x_[i + 1] - x_[i];
   const double t = (x - x_[i]) / h;
   const double t2 = t * t, t3 = t2 * t;
-  const double h00 = 2 * t3 - 3 * t2 + 1;
-  const double h10 = t3 - 2 * t2 + t;
-  const double h01 = -2 * t3 + 3 * t2;
-  const double h11 = t3 - t2;
-  return h00 * y_[i] + h10 * h * m_[i] + h01 * y_[i + 1] + h11 * h * m_[i + 1];
+  return {i, 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + t) * h, -2 * t3 + 3 * t2,
+          (t3 - t2) * h};
 }
 
 BilinearTable::BilinearTable(double x0, double dx, std::size_t nx, double y0,

@@ -40,10 +40,25 @@ class Pchip {
   Pchip() = default;
   Pchip(std::vector<double> x, std::vector<double> y);
 
-  double operator()(double x) const;
+  /// The interval and Hermite weights at one abscissa (clamped to the node
+  /// range). Interpolants built on the same abscissae can share one: each
+  /// evaluated at basis(x) gives exactly its value at x, so a caller that
+  /// needs several tables at one x finds the interval once.
+  struct Basis {
+    std::size_t i;  ///< left node of the interval
+    double h00, h10, h01, h11;  ///< weights; h10, h11 carry the width
+  };
+  Basis basis(double x) const;
+
+  double operator()(const Basis& b) const {
+    return b.h00 * y_[b.i] + b.h10 * m_[b.i] + b.h01 * y_[b.i + 1] +
+           b.h11 * m_[b.i + 1];
+  }
+  double operator()(double x) const { return (*this)(basis(x)); }
 
  private:
   std::vector<double> x_, y_, m_;  // m_ = endpoint slopes per node
+  double inv_mean_h_ = 0.0;        // (n - 1) / (x_n - x_0)
   std::size_t locate(double x) const;
 };
 

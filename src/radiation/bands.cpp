@@ -12,25 +12,6 @@ using gas::constants::kBoltzmann;
 using gas::constants::kPlanck;
 using gas::constants::kSpeedOfLight;
 
-SpectralGrid::SpectralGrid(double lambda_min, double lambda_max,
-                           std::size_t n_bins) {
-  CAT_REQUIRE(lambda_min > 0.0 && lambda_max > lambda_min, "bad lambda range");
-  CAT_REQUIRE(n_bins >= 2, "need at least two bins");
-  lambda_.resize(n_bins);
-  dl_ = (lambda_max - lambda_min) / static_cast<double>(n_bins - 1);
-  for (std::size_t k = 0; k < n_bins; ++k)
-    lambda_[k] = lambda_min + dl_ * static_cast<double>(k);
-}
-
-double planck(double lambda, double t) {
-  CAT_REQUIRE(lambda > 0.0 && t > 0.0, "bad Planck arguments");
-  const double hc = kPlanck * kSpeedOfLight;
-  const double x = hc / (lambda * kBoltzmann * t);
-  if (x > 700.0) return 0.0;
-  return 2.0 * kPlanck * kSpeedOfLight * kSpeedOfLight /
-         std::pow(lambda, 5) / (std::exp(x) - 1.0);
-}
-
 namespace {
 
 /// The standard radiator inventory. Effective Einstein coefficients and
@@ -86,7 +67,56 @@ double gaussian_shape(double lambda, double center, double sigma) {
   return std::exp(-0.5 * z * z) / (sigma * std::sqrt(2.0 * M_PI));
 }
 
+constexpr double kHc = kPlanck * kSpeedOfLight;
+
+/// Planck's law from the per-wavelength prefactors c1 = 2 h c^2 / lambda^5
+/// and lk = lambda kB: the one definition planck() and SpectralGrid share.
+double planck_scaled(double c1, double lk, double t) {
+  const double x = kHc / (lk * t);
+  if (x > 700.0) return 0.0;
+  return c1 / (std::exp(x) - 1.0);
+}
+
+double planck_c1(double lambda) {
+  return 2.0 * kPlanck * kSpeedOfLight * kSpeedOfLight / std::pow(lambda, 5);
+}
+
 }  // namespace
+
+double planck(double lambda, double t) {
+  CAT_REQUIRE(lambda > 0.0 && t > 0.0, "bad Planck arguments");
+  return planck_scaled(planck_c1(lambda), lambda * kBoltzmann, t);
+}
+
+SpectralGrid::SpectralGrid(double lambda_min, double lambda_max,
+                           std::size_t n_bins) {
+  CAT_REQUIRE(lambda_min > 0.0 && lambda_max > lambda_min, "bad lambda range");
+  CAT_REQUIRE(n_bins >= 2, "need at least two bins");
+  lambda_.resize(n_bins);
+  planck_c1_.resize(n_bins);
+  lambda_kb_.resize(n_bins);
+  dl_ = (lambda_max - lambda_min) / static_cast<double>(n_bins - 1);
+  for (std::size_t k = 0; k < n_bins; ++k) {
+    lambda_[k] = lambda_min + dl_ * static_cast<double>(k);
+    planck_c1_[k] = planck_c1(lambda_[k]);
+    lambda_kb_[k] = lambda_[k] * kBoltzmann;
+  }
+  const std::vector<BandSystem> systems = standard_systems();
+  shape_.resize(systems.size() * n_bins);
+  for (std::size_t b = 0; b < systems.size(); ++b) {
+    const BandSystem& sys = systems[b];
+    for (std::size_t k = 0; k < n_bins; ++k)
+      shape_[b * n_bins + k] =
+          sys.atomic_line
+              ? gaussian_shape(lambda_[k], sys.lambda_peak, sys.line_width)
+              : triangle_shape(lambda_[k], sys.lambda_min, sys.lambda_peak,
+                               sys.lambda_max);
+  }
+}
+
+double SpectralGrid::planck(std::size_t k, double t) const {
+  return planck_scaled(planck_c1_[k], lambda_kb_[k], t);
+}
 
 double RadiationModel::q_electronic(const gas::Species& s, double tv) {
   double q = 0.0;
@@ -99,10 +129,12 @@ double RadiationModel::q_electronic(const gas::Species& s, double tv) {
 
 RadiationModel::RadiationModel(const gas::SpeciesSet& set)
     : electron_index_(-1), set_(&set) {
-  for (const auto& sys : standard_systems()) {
-    if (set.contains(sys.species)) {
-      systems_.push_back(sys);
-      system_species_.push_back(set.local_index(sys.species));
+  const std::vector<BandSystem> inventory = standard_systems();
+  for (std::size_t b = 0; b < inventory.size(); ++b) {
+    if (set.contains(inventory[b].species)) {
+      systems_.push_back(inventory[b]);
+      system_species_.push_back(set.local_index(inventory[b].species));
+      system_shape_.push_back(b);
     }
   }
   for (std::size_t s = 0; s < set.size(); ++s)
@@ -117,7 +149,7 @@ void RadiationModel::emission(std::span<const double> nd, double t, double tv,
   CAT_REQUIRE(j.size() == grid.size(), "spectrum size mismatch");
   CAT_REQUIRE(t > 0.0 && tv > 0.0, "temperatures must be positive");
   std::fill(j.begin(), j.end(), 0.0);
-  const double hc = kPlanck * kSpeedOfLight;
+  const std::size_t nb = grid.size();
 
   for (std::size_t b = 0; b < systems_.size(); ++b) {
     const BandSystem& sys = systems_[b];
@@ -128,17 +160,10 @@ void RadiationModel::emission(std::span<const double> nd, double t, double tv,
     if (x > 300.0) continue;
     // Boltzmann upper-state population at the excitation temperature.
     const double n_u = n_s * sys.g_u * std::exp(-x) / q_electronic(sp, tv);
-    const double power = n_u * sys.einstein_a * hc / sys.lambda_peak /
+    const double power = n_u * sys.einstein_a * kHc / sys.lambda_peak /
                          (4.0 * M_PI);  // [W/(m^3 sr)]
-    for (std::size_t k = 0; k < grid.size(); ++k) {
-      const double shape =
-          sys.atomic_line
-              ? gaussian_shape(grid.lambda(k), sys.lambda_peak,
-                               sys.line_width)
-              : triangle_shape(grid.lambda(k), sys.lambda_min,
-                               sys.lambda_peak, sys.lambda_max);
-      j[k] += power * shape;
-    }
+    const double* shape = &grid.shape_[system_shape_[b] * nb];
+    for (std::size_t k = 0; k < nb; ++k) j[k] += power * shape[k];
   }
 
   // Hydrogenic free-free + free-bound continuum when ionized: Kramers form
@@ -150,9 +175,9 @@ void RadiationModel::emission(std::span<const double> nd, double t, double tv,
       if (set_->species(s).charge > 0) n_ion += nd[s];
     constexpr double kKramers = 5.44e-52;  // [W m^4 sr^-1 K^0.5]
     const double pref = kKramers * n_e * n_ion / std::sqrt(tv);
-    for (std::size_t k = 0; k < grid.size(); ++k) {
+    for (std::size_t k = 0; k < nb; ++k) {
       const double lam = grid.lambda(k);
-      const double xx = hc / (lam * kBoltzmann * tv);
+      const double xx = kHc / (grid.lambda_kb_[k] * tv);
       if (xx > 300.0) continue;
       j[k] += pref / (lam * lam) * std::exp(-xx);
     }
@@ -164,8 +189,9 @@ void RadiationModel::absorption(std::span<const double> j, double tv,
                                 std::span<double> kappa) const {
   CAT_REQUIRE(j.size() == grid.size() && kappa.size() == grid.size(),
               "spectrum size mismatch");
+  CAT_REQUIRE(tv > 0.0, "bad Planck arguments");
   for (std::size_t k = 0; k < grid.size(); ++k) {
-    const double b = planck(grid.lambda(k), tv);
+    const double b = grid.planck(k, tv);
     kappa[k] = b > 1e-30 ? j[k] / b : 0.0;
   }
 }

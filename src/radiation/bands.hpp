@@ -21,7 +21,10 @@
 
 namespace cat::radiation {
 
-/// Uniform wavelength grid [m].
+/// Uniform wavelength grid [m]. Construction also evaluates everything
+/// per bin that does not depend on the gas state: the Planck prefactors
+/// and the spectral envelope of every standard band system. A grid built
+/// once serves any number of emission/absorption evaluations.
 class SpectralGrid {
  public:
   SpectralGrid(double lambda_min, double lambda_max, std::size_t n_bins);
@@ -31,9 +34,18 @@ class SpectralGrid {
   double d_lambda() const { return dl_; }
   std::span<const double> wavelengths() const { return lambda_; }
 
+  /// planck(lambda(k), t) from the bin's prefactors, bit for bit.
+  double planck(std::size_t k, double t) const;
+
  private:
+  friend class RadiationModel;
   std::vector<double> lambda_;
   double dl_;
+  // Per bin: 2 h c^2 / lambda^5 and lambda kB.
+  std::vector<double> planck_c1_, lambda_kb_;
+  // [system * size() + k]: unit-area envelope of standard band system
+  // `system` (inventory order) at bin k.
+  std::vector<double> shape_;
 };
 
 /// One radiating band system or atomic multiplet.
@@ -80,6 +92,7 @@ class RadiationModel {
  private:
   std::vector<BandSystem> systems_;
   std::vector<std::size_t> system_species_;  ///< local index per system
+  std::vector<std::size_t> system_shape_;    ///< inventory index per system
   std::ptrdiff_t electron_index_;
   const gas::SpeciesSet* set_;
 

@@ -102,12 +102,12 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
       const double h = h_lo + (h_hi - h_lo) * static_cast<double>(k) /
                                   static_cast<double>(nt - 1);
       const auto st = eq_.solve_ph(p_loc, h);
-      const double mu = trans.viscosity(st.y, st.t);
-      const double pr = trans.prandtl(st.y, st.t);
+      const transport::ViscosityPrandtl mp =
+          trans.viscosity_prandtl(st.y, st.t);
       h_nodes[k] = h;
       rho_tab[k] = st.rho;
-      c_tab[k] = st.rho * mu / reme;
-      cpr_tab[k] = c_tab[k] / pr;
+      c_tab[k] = st.rho * mp.mu / reme;
+      cpr_tab[k] = c_tab[k] / mp.pr;
     }
     numerics::Pchip C_of_h(h_nodes, c_tab);
     numerics::Pchip CPr_of_h(h_nodes, cpr_tab);
@@ -125,9 +125,11 @@ BlResult BoundaryLayerSolver::solve(const std::vector<BlStation>& stations,
     auto rhs5 = [&](const std::array<double, 5>& u,
                     std::array<double, 5>& du) {
       const double h = h_static(u[3], u[1]);
-      const double C = std::max(C_of_h(h), 1e-4);
-      const double CPr = std::max(CPr_of_h(h), 1e-4);
-      const double rr = rho_edge / std::max(rho_of_h(h), 1e-12);
+      // The three tables share h_nodes: one interval and basis at h.
+      const numerics::Pchip::Basis at_h = C_of_h.basis(h);
+      const double C = std::max(C_of_h(at_h), 1e-4);
+      const double CPr = std::max(CPr_of_h(at_h), 1e-4);
+      const double rr = rho_edge / std::max(rho_of_h(at_h), 1e-12);
       const double dh = 1e-4 * std::fabs(h_total);
       const double dC_dh =
           (C_of_h(std::min(h + dh, h_hi)) - C_of_h(std::max(h - dh, h_lo))) /

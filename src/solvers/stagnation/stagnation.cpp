@@ -17,7 +17,12 @@ using gas::constants::kAvogadro;
 
 StagnationLineSolver::StagnationLineSolver(const gas::EquilibriumSolver& eq,
                                            StagnationOptions opt)
-    : eq_(eq), opt_(opt), rad_(eq.mixture().set()) {
+    : eq_(eq),
+      opt_(opt),
+      trans_(eq.mixture()),
+      rad_(eq.mixture().set()),
+      // Spectral window [m]: the UV-visible-near-IR band of the shock layer.
+      grid_(0.2e-6, 1.2e-6, opt.n_spectral) {
   CAT_REQUIRE(opt_.n_eta >= 40 && opt_.eta_max > 3.0, "bad similarity grid");
 }
 
@@ -87,9 +92,7 @@ StagnationSolution StagnationLineSolver::solve(
     throw SolverError(
         "StagnationLineSolver: edge enthalpy too low (non-hypersonic)");
   }
-  const gas::Mixture& mix = eq_.mixture();
-  const std::size_t ns = mix.n_species();
-  transport::MixtureTransport trans(mix);
+  const std::size_t ns = eq_.mixture().n_species();
 
   // ---- enthalpy-parameterized property tables across the layer --------
   // g = h/h_edge in [g_wall*0.8, 1.02]; all states at p = p_stag. The
@@ -105,21 +108,21 @@ StagnationSolution StagnationLineSolver::solve(
   std::vector<double> g_nodes(nt), c_chap(nt), c_over_pr(nt), rho_tab(nt),
       t_tab(nt), mu_tab(nt);
   std::vector<std::vector<double>> x_tab(nt);
-  const double rho_e_mu_e = stag.rho * trans.viscosity(stag.y, stag.t);
+  const double rho_e_mu_e = stag.rho * trans_.viscosity(stag.y, stag.t);
   gas::EquilibriumResult st = wall_state;
   for (std::size_t k = 0; k < nt; ++k) {
     const double g =
         g_lo + (g_hi - g_lo) * static_cast<double>(k) /
                    static_cast<double>(nt - 1);
     st = eq_.solve_ph(edge.p_stag, g * h_e, &st);
-    const double mu = trans.viscosity(st.y, st.t);
-    const double pr = trans.prandtl(st.y, st.t);
+    const transport::ViscosityPrandtl mp =
+        trans_.viscosity_prandtl(st.y, st.t);
     g_nodes[k] = g;
     rho_tab[k] = st.rho;
     t_tab[k] = st.t;
-    mu_tab[k] = mu;
-    c_chap[k] = st.rho * mu / rho_e_mu_e;
-    c_over_pr[k] = c_chap[k] / pr;
+    mu_tab[k] = mp.mu;
+    c_chap[k] = st.rho * mp.mu / rho_e_mu_e;
+    c_over_pr[k] = c_chap[k] / mp.pr;
     x_tab[k] = st.x;
   }
   numerics::Pchip C_of_g(g_nodes, c_chap);
@@ -134,11 +137,14 @@ StagnationSolution StagnationLineSolver::solve(
   //   f''' = -(f f'' + 0.5 (rho_e/rho - f'^2) + (dC/dg)(g') f'') / C
   //   g'   = G Pr / C
   //   G'   = -f g'
+  // The three tables share g_nodes, so one interval search and one set of
+  // Hermite weights at g serve C, C/Pr and rho.
   auto rhs5 = [&](const std::array<double, 5>& u, std::array<double, 5>& du) {
     const double g = std::clamp(u[3], g_lo, g_hi);
-    const double C = std::max(C_of_g(g), 1e-4);
-    const double CPr = std::max(CPr_of_g(g), 1e-4);
-    const double rho_ratio = rho_e / std::max(rho_of_g(g), 1e-10);
+    const numerics::Pchip::Basis at_g = C_of_g.basis(g);
+    const double C = std::max(C_of_g(at_g), 1e-4);
+    const double CPr = std::max(CPr_of_g(at_g), 1e-4);
+    const double rho_ratio = rho_e / std::max(rho_of_g(at_g), 1e-10);
     const double dgq = 1e-4;
     const double dC_dg = (C_of_g(std::min(g + dgq, g_hi)) -
                           C_of_g(std::max(g - dgq, g_lo))) /
@@ -244,10 +250,11 @@ StagnationSolution StagnationLineSolver::solve(
   double y_acc = 0.0;
   for (std::size_t k = 0; k < eta.size(); ++k) {
     const double g = std::clamp(sol[k][3], g_lo, g_hi);
-    const double rho = std::max(rho_of_g(g), 1e-10);
+    const numerics::Pchip::Basis at_g = rho_of_g.basis(g);
+    const double rho = std::max(rho_of_g(at_g), 1e-10);
     if (k > 0) y_acc += scale / rho * (eta[k] - eta[k - 1]);
     out.y_phys[k] = y_acc;
-    out.temperature[k] = T_of_g(g);
+    out.temperature[k] = T_of_g(at_g);
     // Composition: interpolate mole fractions in g (linear between table
     // nodes keeps them in [0,1]).
     const double pos = (g - g_lo) / (g_hi - g_lo) *
@@ -276,8 +283,6 @@ StagnationSolution StagnationLineSolver::solve(
 
   // ---- tangent-slab radiative flux -------------------------------------
   if (opt_.include_radiation) {
-    // Spectral window [m]: the UV-visible-near-IR band of the shock layer.
-    radiation::SpectralGrid grid(0.2e-6, 1.2e-6, opt_.n_spectral);
     std::vector<radiation::SlabLayer> layers;
     const std::size_t np = out.y_phys.size();
     const std::size_t stride = std::max<std::size_t>(1, np / opt_.n_slab);
@@ -295,14 +300,14 @@ StagnationSolution StagnationLineSolver::solve(
         nd[s] = out.species_x[s][k0] * n_total;
       radiation::SlabLayer layer;
       layer.thickness = dz;
-      layer.j.resize(grid.size());
-      layer.kappa.resize(grid.size());
-      rad_.emission(nd, t_loc, t_loc, grid, layer.j);
-      rad_.absorption(layer.j, t_loc, grid, layer.kappa);
+      layer.j.resize(grid_.size());
+      layer.kappa.resize(grid_.size());
+      rad_.emission(nd, t_loc, t_loc, grid_, layer.j);
+      rad_.absorption(layer.j, t_loc, grid_, layer.kappa);
       layers.push_back(std::move(layer));
     }
     if (!layers.empty()) {
-      const auto slab = radiation::solve_tangent_slab(grid, layers);
+      const auto slab = radiation::solve_tangent_slab(grid_, layers);
       out.q_rad = slab.q_wall;
     }
   }

@@ -20,6 +20,7 @@
 
 #include "gas/equilibrium.hpp"
 #include "radiation/bands.hpp"
+#include "transport/transport.hpp"
 
 namespace cat::solvers {
 
@@ -86,7 +87,13 @@ class StagnationLineSolver {
 
   const gas::EquilibriumSolver& eq_;
   StagnationOptions opt_;
+  // Built once per solver and only read by solve(), so one solver serves
+  // concurrent solves: the transport evaluator's Wilke mass factors, and
+  // the spectral grid with its per-bin band envelopes and Planck
+  // prefactors.
+  transport::MixtureTransport trans_;
   radiation::RadiationModel rad_;
+  radiation::SpectralGrid grid_;
 };
 
 }  // namespace cat::solvers

@@ -20,8 +20,9 @@ PropertyProvider make_equilibrium_props(const gas::EquilibriumSolver& eq) {
     PhState out;
     out.rho = st.rho;
     out.t = st.t;
-    out.mu = trans->viscosity(st.y, st.t);
-    out.pr = trans->prandtl(st.y, st.t);
+    const transport::ViscosityPrandtl mp = trans->viscosity_prandtl(st.y, st.t);
+    out.mu = mp.mu;
+    out.pr = mp.pr;
     out.h = st.h;
     return out;
   };

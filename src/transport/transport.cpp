@@ -1,5 +1,7 @@
 #include "transport/transport.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -37,84 +39,97 @@ double species_viscosity(const gas::Species& s, double t) {
          (M_PI * s.hs_diameter * s.hs_diameter);
 }
 
-double species_conductivity(const gas::Species& s, double t) {
-  const double mu = species_viscosity(s, t);
+namespace {
+/// Modified Eucken conductivity from the species viscosity and cp_mole:
+/// translational part with factor 5/2, internal modes (rotation +
+/// vibration + electronic) with factor 1.2 (diffusive).
+double eucken_conductivity(const gas::Species& s, double mu, double cp) {
   const double r_s = kRu / s.molar_mass;
-  // Modified Eucken: translational part with factor 5/2, internal modes
-  // (rotation + vibration + electronic) with factor 1 (diffusive).
   const double cv_trans = 1.5 * r_s;
-  const double cv_total = (gas::cp_mole(s, t) - kRu) / s.molar_mass;
+  const double cv_total = (cp - kRu) / s.molar_mass;
   const double cv_int = std::max(cv_total - cv_trans, 0.0);
   return mu * (2.5 * cv_trans + 1.2 * cv_int);
 }
 
+using SpeciesArray = std::array<double, gas::kNumDatabaseSpecies>;
+}  // namespace
+
+double species_conductivity(const gas::Species& s, double t) {
+  return eucken_conductivity(s, species_viscosity(s, t), gas::cp_mole(s, t));
+}
+
+// cat-lint: allow-alloc(construction: per-species flags and per-pair mass
+// factors)
 MixtureTransport::MixtureTransport(const gas::Mixture& mix, double lewis)
     : mix_(mix), lewis_(lewis) {
   CAT_REQUIRE(lewis > 0.0, "Lewis number must be positive");
+  const std::size_t ns = mix_.n_species();
+  CAT_REQUIRE(ns <= gas::kNumDatabaseSpecies, "species set too large");
+  heavy_.resize(ns);
+  mass_pow_.resize(ns * ns);
+  mass_den_.resize(ns * ns);
+  for (std::size_t i = 0; i < ns; ++i) {
+    heavy_[i] = !mix_.set().species(i).is_electron();
+    const double mi = mix_.set().species(i).molar_mass;
+    for (std::size_t j = 0; j < ns; ++j) {
+      const double mj = mix_.set().species(j).molar_mass;
+      mass_pow_[i * ns + j] = std::pow(mj / mi, 0.25);
+      mass_den_[i * ns + j] = std::sqrt(8.0 * (1.0 + mi / mj));
+    }
+  }
 }
 
-namespace {
-/// Wilke's mixing rule applied to any per-species property phi.
-/// Free electrons are excluded: their vanishing mass/viscosity poisons the
-/// phi_ij denominators while their true momentum contribution is nil.
-double wilke_mix(const gas::Mixture& mix, std::span<const double> x,
-                 std::span<const double> phi,
-                 std::span<const double> mu, double /*t*/) {
-  const std::size_t ns = mix.n_species();
-  double total = 0.0;
-  for (std::size_t i = 0; i < ns; ++i) {
-    if (x[i] <= 0.0 || mix.set().species(i).is_electron()) continue;
-    double denom = 0.0;
-    const double mi = mix.set().species(i).molar_mass;
-    for (std::size_t j = 0; j < ns; ++j) {
-      if (x[j] <= 0.0 || mix.set().species(j).is_electron()) continue;
-      const double mj = mix.set().species(j).molar_mass;
-      const double ratio_mu = mu[i] / mu[j];
-      const double ratio_m = mj / mi;
-      const double num =
-          1.0 + std::sqrt(ratio_mu) * std::pow(ratio_m, 0.25);
-      const double phi_ij =
-          num * num / std::sqrt(8.0 * (1.0 + mi / mj));
-      denom += x[j] * phi_ij;
-    }
-    total += x[i] * phi[i] / denom;
+MixtureTransport::Mixed MixtureTransport::mixed(std::span<const double> y,
+                                                double t) const {
+  const std::size_t ns = mix_.n_species();
+  SpeciesArray x, mu, k;
+  mix_.mole_fractions(y, std::span(x).first(ns));
+  Mixed out{0.0, 0.0, 0.0};
+  for (std::size_t s = 0; s < ns; ++s) {
+    mu[s] = k[s] = 0.0;
+    if (y[s] == 0.0) continue;  // x = 0: no part in Wilke's sums or in cp
+    const gas::Species& sp = mix_.set().species(s);
+    const double cp_s = gas::cp_mole(sp, t);
+    mu[s] = species_viscosity(sp, t);
+    k[s] = eucken_conductivity(sp, mu[s], cp_s);
+    out.cp += y[s] * (cp_s / sp.molar_mass);
   }
-  return total;
+  for (std::size_t i = 0; i < ns; ++i) {
+    if (x[i] <= 0.0 || !heavy_[i]) continue;
+    double denom = 0.0;
+    for (std::size_t j = 0; j < ns; ++j) {
+      if (x[j] <= 0.0 || !heavy_[j]) continue;
+      const double num =
+          1.0 + std::sqrt(mu[i] / mu[j]) * mass_pow_[i * ns + j];
+      denom += x[j] * (num * num / mass_den_[i * ns + j]);
+    }
+    out.mu += x[i] * mu[i] / denom;
+    out.k += x[i] * k[i] / denom;
+  }
+  return out;
 }
-}  // namespace
 
 double MixtureTransport::viscosity(std::span<const double> y,
                                    double t) const {
-  const std::vector<double> x = mix_.mole_fractions(y);
-  const std::size_t ns = mix_.n_species();
-  std::vector<double> mu(ns);
-  for (std::size_t s = 0; s < ns; ++s)
-    mu[s] = species_viscosity(mix_.set().species(s), t);
-  return wilke_mix(mix_, x, mu, mu, t);
+  return mixed(y, t).mu;
 }
 
 double MixtureTransport::conductivity(std::span<const double> y,
                                       double t) const {
-  const std::vector<double> x = mix_.mole_fractions(y);
-  const std::size_t ns = mix_.n_species();
-  std::vector<double> mu(ns), k(ns);
-  for (std::size_t s = 0; s < ns; ++s) {
-    mu[s] = species_viscosity(mix_.set().species(s), t);
-    k[s] = species_conductivity(mix_.set().species(s), t);
-  }
-  return wilke_mix(mix_, x, k, mu, t);
+  return mixed(y, t).k;
 }
 
 double MixtureTransport::diffusivity(std::span<const double> y, double t,
                                      double rho) const {
   CAT_REQUIRE(rho > 0.0, "density must be positive");
-  const double k = conductivity(y, t);
-  const double cp = mix_.cp_mass(y, t);
-  return lewis_ * k / (rho * cp);
+  const Mixed m = mixed(y, t);
+  return lewis_ * m.k / (rho * m.cp);
 }
 
-double MixtureTransport::prandtl(std::span<const double> y, double t) const {
-  return viscosity(y, t) * mix_.cp_mass(y, t) / conductivity(y, t);
+ViscosityPrandtl MixtureTransport::viscosity_prandtl(
+    std::span<const double> y, double t) const {
+  const Mixed m = mixed(y, t);
+  return {m.mu, m.mu * m.cp / m.k};
 }
 
 }  // namespace cat::transport

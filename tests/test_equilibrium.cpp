@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "core/error.hpp"
@@ -274,6 +275,36 @@ void expect_hinted_ph_matches_unhinted(const EquilibriumSolver& solver) {
       }
     }
   }
+}
+
+// A state's enthalpy is summed from the species enthalpies the Gibbs
+// Newton evaluated at its temperature; it must equal the separate
+// Mixture::enthalpy_mass pass over the state's composition bit for bit.
+void expect_state_enthalpy_is_mixture_enthalpy(const EquilibriumSolver& eq) {
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const double p : {50.0, 3000.0, 1.0e5}) {
+    for (const double t : {200.0, 1500.0, 4000.0, 7000.0, 12000.0, 25000.0}) {
+      const EquilibriumResult tp = eq.solve_tp(t, p);
+      EXPECT_TRUE(
+          same_bits(tp.h, eq.mixture().enthalpy_mass(tp.y, tp.t)))
+          << "T=" << t << " p=" << p;
+      const EquilibriumResult ph = eq.solve_ph(p, tp.h + 1.0e5);
+      EXPECT_TRUE(
+          same_bits(ph.h, eq.mixture().enthalpy_mass(ph.y, ph.t)))
+          << "h=" << tp.h + 1.0e5 << " p=" << p;
+    }
+  }
+}
+
+TEST(Equilibrium, StateEnthalpyIsMixtureEnthalpyBitwiseAir11) {
+  expect_state_enthalpy_is_mixture_enthalpy(air_solver(make_air11()));
+}
+
+TEST(Equilibrium, StateEnthalpyIsMixtureEnthalpyBitwiseTitan) {
+  expect_state_enthalpy_is_mixture_enthalpy(
+      EquilibriumSolver(make_titan(), {{"N2", 0.95}, {"CH4", 0.05}}));
 }
 
 TEST(Equilibrium, HintedPhMatchesUnhintedAir5) {

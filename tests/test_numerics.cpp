@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/error.hpp"
 #include "numerics/interp.hpp"
@@ -385,5 +389,129 @@ TEST_P(ExpintSweep, RecurrenceConsistency) {
 INSTANTIATE_TEST_SUITE_P(Grid, ExpintSweep,
                          ::testing::Values(0.05, 0.2, 0.7, 1.0, 2.5, 8.0,
                                            20.0));
+
+// ---- Pchip: shared basis and O(1) interval lookup ----------------------
+//
+// OracleInterp is the pre-basis evaluation kept verbatim: upper_bound
+// interval search per call and the Hermite sum at x. The slopes come from
+// the class under test (they are unchanged); a basis evaluation must equal
+// the oracle bit for bit at and around every node and past both ends.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+struct OracleInterp {
+  std::vector<double> x, y, m;
+  double operator()(double xq) const {
+    xq = std::clamp(xq, x.front(), x.back());
+    const auto it = std::upper_bound(x.begin(), x.end(), xq);
+    const std::ptrdiff_t idx = std::distance(x.begin(), it) - 1;
+    const std::size_t i = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
+        idx, 0, static_cast<std::ptrdiff_t>(x.size()) - 2));
+    const double h = x[i + 1] - x[i];
+    const double t = (xq - x[i]) / h;
+    const double t2 = t * t, t3 = t2 * t;
+    const double h00 = 2 * t3 - 3 * t2 + 1;
+    const double h10 = t3 - 2 * t2 + t;
+    const double h01 = -2 * t3 + 3 * t2;
+    const double h11 = t3 - t2;
+    return h00 * y[i] + h10 * h * m[i] + h01 * y[i + 1] + h11 * h * m[i + 1];
+  }
+};
+
+// Fritsch-Carlson slopes as Pchip builds them (recovered here so the
+// oracle is independent of the lookup under test).
+std::vector<double> pchip_slopes(const std::vector<double>& x,
+                                 const std::vector<double>& y) {
+  const std::size_t n = x.size();
+  std::vector<double> h(n - 1), d(n - 1), m(n, 0.0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    h[i] = x[i + 1] - x[i];
+    d[i] = (y[i + 1] - y[i]) / h[i];
+  }
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    if (d[i - 1] * d[i] > 0.0) {
+      const double w1 = 2.0 * h[i] + h[i - 1];
+      const double w2 = h[i] + 2.0 * h[i - 1];
+      m[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i]);
+    }
+  }
+  auto endpoint = [](double h0, double h1, double d0, double d1) {
+    double mm = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1);
+    if (mm * d0 <= 0.0) {
+      mm = 0.0;
+    } else if (d0 * d1 <= 0.0 && std::fabs(mm) > 3.0 * std::fabs(d0)) {
+      mm = 3.0 * d0;
+    }
+    return mm;
+  };
+  m[0] = endpoint(h[0], h[1], d[0], d[1]);
+  m[n - 1] = endpoint(h[n - 2], h[n - 3], d[n - 2], d[n - 3]);
+  return m;
+}
+
+// Query points: every node, one ulp either side of it, interval midpoints
+// and points past both clamped ends.
+std::vector<double> pchip_probe_points(const std::vector<double>& x) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> q{x.front() - 1.0, x.back() + 1.0, -inf, inf};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    q.push_back(x[i]);
+    q.push_back(std::nextafter(x[i], -inf));
+    q.push_back(std::nextafter(x[i], inf));
+    if (i + 1 < x.size()) q.push_back(0.5 * (x[i] + x[i + 1]));
+  }
+  return q;
+}
+
+void expect_basis_matches_oracle(const std::vector<double>& x) {
+  // Three tables on one abscissa set, as the stagnation-line shooting RHS
+  // holds them (C, C/Pr and rho against g).
+  std::vector<double> ya, yb, yc;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double v = x[i];
+    ya.push_back(0.3 + 0.7 * std::tanh(3.0 * v) + 0.05 * std::sin(9.0 * v));
+    yb.push_back(1.0 / (1.0 + v * v));
+    yc.push_back(std::exp(-0.8 * v));
+  }
+  const Pchip a(x, ya), b(x, yb), c(x, yc);
+  const OracleInterp oa{x, ya, pchip_slopes(x, ya)};
+  const OracleInterp ob{x, yb, pchip_slopes(x, yb)};
+  const OracleInterp oc{x, yc, pchip_slopes(x, yc)};
+  for (const double q : pchip_probe_points(x)) {
+    const Pchip::Basis at = a.basis(q);
+    EXPECT_TRUE(same_bits(a(at), oa(q))) << "x=" << q;
+    EXPECT_TRUE(same_bits(b(at), ob(q))) << "x=" << q;
+    EXPECT_TRUE(same_bits(c(at), oc(q))) << "x=" << q;
+    EXPECT_TRUE(same_bits(a(q), oa(q))) << "x=" << q;
+  }
+}
+
+TEST(Interp, PchipSharedBasisMatchesSearchOnUniformNodes) {
+  // The stagnation table's node formula: lo + (hi - lo) k / (n - 1), whose
+  // rounding leaves the nodes only nearly uniform.
+  for (const std::size_t n : {3u, 24u, 60u}) {
+    const double lo = 0.01184521, hi = 1.05;
+    std::vector<double> x(n);
+    for (std::size_t k = 0; k < n; ++k)
+      x[k] = lo + (hi - lo) * static_cast<double>(k) /
+                      static_cast<double>(n - 1);
+    expect_basis_matches_oracle(x);
+  }
+}
+
+TEST(Interp, PchipSharedBasisMatchesSearchOnNonuniformNodes) {
+  // Geometric spacing: the O(1) guess misses by more than one interval
+  // and must fall back to the search.
+  std::vector<double> x;
+  for (int k = 0; k < 30; ++k) x.push_back(std::pow(1.3, k) - 1.0);
+  expect_basis_matches_oracle(x);
+}
+
+TEST(Interp, PchipNanQueryStaysNan) {
+  const Pchip f({0.0, 1.0, 2.0}, {0.0, 1.0, 4.0});
+  EXPECT_TRUE(std::isnan(f(std::nan(""))));
+}
 
 }  // namespace

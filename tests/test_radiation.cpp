@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gas/constants.hpp"
 #include "radiation/spectra.hpp"
@@ -136,6 +139,120 @@ TEST(Spectra, SyntheticMeasuredTracksModel) {
   const auto noisy =
       synthetic_measured_spectrum(model, set, grid, nd, 9000.0, 0.05, 0.15);
   EXPECT_GT(spectral_correlation(clean, noisy), 0.95);
+}
+
+// ---- per-grid band envelopes and Planck prefactors ---------------------
+//
+// The oracle is the pre-table emission/absorption kept verbatim: band
+// envelopes and Planck's law evaluated per bin on every call. The grid's
+// precomputed tables must reproduce it bit for bit.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+double oracle_planck(double lambda, double t) {
+  using gas::constants::kBoltzmann;
+  using gas::constants::kPlanck;
+  using gas::constants::kSpeedOfLight;
+  const double hc = kPlanck * kSpeedOfLight;
+  const double x = hc / (lambda * kBoltzmann * t);
+  if (x > 700.0) return 0.0;
+  return 2.0 * kPlanck * kSpeedOfLight * kSpeedOfLight /
+         std::pow(lambda, 5) / (std::exp(x) - 1.0);
+}
+
+std::vector<double> oracle_emission(const gas::SpeciesSet& set,
+                                    const RadiationModel& model,
+                                    const std::vector<double>& nd, double tv,
+                                    const SpectralGrid& grid) {
+  using gas::constants::kBoltzmann;
+  using gas::constants::kPlanck;
+  using gas::constants::kSpeedOfLight;
+  const double hc = kPlanck * kSpeedOfLight;
+  std::vector<double> j(grid.size(), 0.0);
+  for (const BandSystem& sys : model.systems()) {
+    const double n_s = nd[set.local_index(sys.species)];
+    if (n_s <= 0.0) continue;
+    const gas::Species& sp = set.species(set.local_index(sys.species));
+    const double x = sys.theta_u / tv;
+    if (x > 300.0) continue;
+    double q = 0.0;
+    for (const auto& lvl : sp.electronic) {
+      const double xl = lvl.theta / tv;
+      if (xl < 500.0) q += lvl.g * std::exp(-xl);
+    }
+    q = std::max(q, static_cast<double>(sp.electronic.front().g));
+    const double n_u = n_s * sys.g_u * std::exp(-x) / q;
+    const double power =
+        n_u * sys.einstein_a * hc / sys.lambda_peak / (4.0 * M_PI);
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      const double l = grid.lambda(k);
+      double shape = 0.0;
+      if (sys.atomic_line) {
+        const double z = (l - sys.lambda_peak) / sys.line_width;
+        shape = std::exp(-0.5 * z * z) /
+                (sys.line_width * std::sqrt(2.0 * M_PI));
+      } else if (l > sys.lambda_min && l < sys.lambda_max) {
+        const double h = 2.0 / (sys.lambda_max - sys.lambda_min);
+        shape = l < sys.lambda_peak ? h * (l - sys.lambda_min) /
+                                          (sys.lambda_peak - sys.lambda_min)
+                                    : h * (sys.lambda_max - l) /
+                                          (sys.lambda_max - sys.lambda_peak);
+      }
+      j[k] += power * shape;
+    }
+  }
+  if (set.contains("e-") && nd[set.local_index("e-")] > 0.0) {
+    const double n_e = nd[set.local_index("e-")];
+    double n_ion = 0.0;
+    for (std::size_t s = 0; s < set.size(); ++s)
+      if (set.species(s).charge > 0) n_ion += nd[s];
+    const double pref = 5.44e-52 * n_e * n_ion / std::sqrt(tv);
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      const double lam = grid.lambda(k);
+      const double xx = hc / (lam * kBoltzmann * tv);
+      if (xx > 300.0) continue;
+      j[k] += pref / (lam * lam) * std::exp(-xx);
+    }
+  }
+  return j;
+}
+
+TEST(RadiationTables, GridPlanckMatchesPlanckBitwise) {
+  const SpectralGrid grid(0.2e-6, 1.2e-6, 160);
+  for (const double t : {300.0, 2000.0, 6000.0, 12000.0, 40000.0}) {
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      EXPECT_TRUE(
+          same_bits(grid.planck(k, t), oracle_planck(grid.lambda(k), t)))
+          << "k=" << k << " T=" << t;
+      EXPECT_TRUE(same_bits(planck(grid.lambda(k), t),
+                            oracle_planck(grid.lambda(k), t)));
+    }
+  }
+}
+
+TEST(RadiationTables, EmissionAndAbsorptionMatchPerBinEvaluationBitwise) {
+  for (const auto& set : {gas::make_air11(), gas::make_titan()}) {
+    const RadiationModel model(set);
+    const SpectralGrid grid(0.2e-6, 1.2e-6, 160);
+    std::vector<double> nd(set.size());
+    for (std::size_t s = 0; s < set.size(); ++s)
+      nd[s] = 1e20 * static_cast<double>(s + 1);
+    for (const double tv : {3000.0, 7000.0, 11000.0}) {
+      std::vector<double> j(grid.size()), kappa(grid.size());
+      model.emission(nd, tv, tv, grid, j);
+      model.absorption(j, tv, grid, kappa);
+      const std::vector<double> j_ref =
+          oracle_emission(set, model, nd, tv, grid);
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        EXPECT_TRUE(same_bits(j[k], j_ref[k])) << "k=" << k << " Tv=" << tv;
+        const double b = oracle_planck(grid.lambda(k), tv);
+        EXPECT_TRUE(same_bits(kappa[k], b > 1e-30 ? j_ref[k] / b : 0.0))
+            << "k=" << k << " Tv=" << tv;
+      }
+    }
+  }
 }
 
 }  // namespace

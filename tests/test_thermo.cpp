@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gas/constants.hpp"
 #include "gas/species.hpp"
@@ -139,5 +141,105 @@ TEST_P(ThermoAllSpecies, FiniteAndPhysicalOverRange) {
 INSTANTIATE_TEST_SUITE_P(
     AllSpecies, ThermoAllSpecies,
     ::testing::Range<std::size_t>(0, SpeciesDatabase::instance().size()));
+
+// ---- fused kernels against the separate calls they replace -------------
+//
+// The oracles below are the separate-call code as it stood before the
+// fused kernels (h_th(298.15) re-evaluated per call, entropy with its own
+// electronic pass), kept verbatim so the fused paths are pinned bit for
+// bit, not merely to round-off.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+double oracle_enthalpy_mole(const Species& s, double t) {
+  const double t_ref = constants::kTemperatureRef;
+  const double h_th = internal_energy_thermal(s, t) + kRu * t;
+  const double h_th_ref = internal_energy_thermal(s, t_ref) + kRu * t_ref;
+  return s.h_formation_298 + (h_th - h_th_ref);
+}
+
+double oracle_entropy_mole(const Species& s, double t, double p) {
+  using constants::kAvogadro;
+  using constants::kBoltzmann;
+  using constants::kPlanck;
+  const double m = s.molar_mass / kAvogadro;
+  const double lambda3 =
+      std::pow(2.0 * M_PI * m * kBoltzmann * t / (kPlanck * kPlanck), 1.5);
+  double entropy = kRu * (std::log(lambda3 * kBoltzmann * t / p) + 2.5);
+  if (s.rotor == RotorType::kLinear) {
+    entropy += kRu * (std::log(t / (s.symmetry * s.theta_rot[0])) + 1.0);
+  } else if (s.rotor == RotorType::kNonlinear) {
+    const double q_rot =
+        std::sqrt(M_PI * t * t * t /
+                  (s.theta_rot[0] * s.theta_rot[1] * s.theta_rot[2])) /
+        s.symmetry;
+    entropy += kRu * (std::log(q_rot) + 1.5);
+  }
+  for (const auto& mode : s.vib) {
+    const double x = mode.theta / t;
+    if (x > 500.0) continue;
+    const double em = std::exp(-x);
+    entropy +=
+        mode.degeneracy * kRu * (x * em / (1.0 - em) - std::log(1.0 - em));
+  }
+  double q = 0.0, e1 = 0.0;
+  for (const auto& lvl : s.electronic) {
+    const double x = lvl.theta / t;
+    if (x > 500.0) continue;
+    const double w = lvl.g * std::exp(-x);
+    q += w;
+    e1 += w * x;
+  }
+  if (q <= 0.0) {
+    q = static_cast<double>(s.electronic.front().g);
+    e1 = 0.0;
+  }
+  const double el_e = kRu * t * (e1 / q);
+  entropy += kRu * std::log(q) + el_e / t;
+  return entropy;
+}
+
+// 150-40000 K on a log grid plus the 298.15 K reference point itself.
+std::vector<double> fused_test_temperatures() {
+  std::vector<double> t{constants::kTemperatureRef};
+  for (int k = 0; k <= 120; ++k)
+    t.push_back(150.0 * std::pow(40000.0 / 150.0, k / 120.0));
+  return t;
+}
+
+TEST(ThermoFused, EnthalpyEntropyMatchesSeparateCallsBitwise) {
+  const auto& db = SpeciesDatabase::instance();
+  ASSERT_EQ(db.size(), kNumDatabaseSpecies);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const Species& s = db[i];
+    for (const double t : fused_test_temperatures()) {
+      for (const double p : {constants::kPressureRef, 37.5}) {
+        const EnthalpyEntropy hs = enthalpy_entropy_mole(s, t, p);
+        const double h_ref = oracle_enthalpy_mole(s, t);
+        const double s_ref = oracle_entropy_mole(s, t, p);
+        EXPECT_TRUE(same_bits(hs.h, h_ref)) << s.name << " T=" << t;
+        EXPECT_TRUE(same_bits(hs.s, s_ref)) << s.name << " T=" << t;
+        EXPECT_TRUE(same_bits(enthalpy_mole(s, t), h_ref)) << s.name;
+        EXPECT_TRUE(same_bits(entropy_mole(s, t, p), s_ref)) << s.name;
+        // The Gibbs energy the equilibrium Newton forms from the pair.
+        EXPECT_TRUE(same_bits(hs.h - t * hs.s, h_ref - t * s_ref)) << s.name;
+      }
+    }
+  }
+}
+
+TEST(ThermoFused, CachedReferenceEnthalpyMatchesDirectEvaluation) {
+  const double t_ref = constants::kTemperatureRef;
+  for (const Species& s : SpeciesDatabase::instance().all()) {
+    EXPECT_TRUE(same_bits(s.h_thermal_298,
+                          internal_energy_thermal(s, t_ref) + kRu * t_ref))
+        << s.name;
+    // The reference cancels at 298.15 K: h = h_f exactly.
+    EXPECT_TRUE(same_bits(enthalpy_mole(s, t_ref), s.h_formation_298))
+        << s.name;
+  }
+}
 
 }  // namespace

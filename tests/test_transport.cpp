@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gas/constants.hpp"
 #include "gas/equilibrium.hpp"
+#include "gas/thermo.hpp"
 #include "transport/transport.hpp"
 
 namespace {
@@ -86,7 +90,7 @@ TEST(Transport, PrandtlNearSevenTenths) {
   MixtureTransport trans(mix);
   std::vector<double> y{0.767, 0.233, 0.0, 0.0, 0.0};
   for (double t : {300.0, 1000.0, 3000.0}) {
-    const double pr = trans.prandtl(y, t);
+    const double pr = trans.viscosity_prandtl(y, t).pr;
     EXPECT_GT(pr, 0.55) << t;
     EXPECT_LT(pr, 0.95) << t;
   }
@@ -112,6 +116,110 @@ TEST(Transport, ConductivityExceedsMonatomicEucken) {
   const double k_mono = species_viscosity(n2, t) * 2.5 * 1.5 *
                         gas::constants::kRu / n2.molar_mass;
   EXPECT_GT(k, k_mono);
+}
+
+// ---- fused viscosity + Prandtl against the separate calls -------------
+//
+// The oracle is the pre-fusion code kept verbatim: Wilke's rule with the
+// molar-mass factors evaluated per pair and call, viscosity and
+// conductivity as two separate passes, and Pr = mu cp / k from a third.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+double oracle_wilke(const gas::Mixture& mix, const std::vector<double>& x,
+                    const std::vector<double>& phi,
+                    const std::vector<double>& mu) {
+  const std::size_t ns = mix.n_species();
+  double total = 0.0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    if (x[i] <= 0.0 || mix.set().species(i).is_electron()) continue;
+    double denom = 0.0;
+    const double mi = mix.set().species(i).molar_mass;
+    for (std::size_t j = 0; j < ns; ++j) {
+      if (x[j] <= 0.0 || mix.set().species(j).is_electron()) continue;
+      const double mj = mix.set().species(j).molar_mass;
+      const double ratio_mu = mu[i] / mu[j];
+      const double ratio_m = mj / mi;
+      const double num = 1.0 + std::sqrt(ratio_mu) * std::pow(ratio_m, 0.25);
+      const double phi_ij = num * num / std::sqrt(8.0 * (1.0 + mi / mj));
+      denom += x[j] * phi_ij;
+    }
+    total += x[i] * phi[i] / denom;
+  }
+  return total;
+}
+
+double oracle_conductivity_species(const gas::Species& s, double t) {
+  using gas::constants::kRu;
+  const double mu = species_viscosity(s, t);
+  const double r_s = kRu / s.molar_mass;
+  const double cv_trans = 1.5 * r_s;
+  const double cv_total = (gas::cp_mole(s, t) - kRu) / s.molar_mass;
+  const double cv_int = std::max(cv_total - cv_trans, 0.0);
+  return mu * (2.5 * cv_trans + 1.2 * cv_int);
+}
+
+struct OracleMuK {
+  double mu, k;
+};
+
+OracleMuK oracle_mu_k(const gas::Mixture& mix, const std::vector<double>& y,
+                      double t) {
+  const std::vector<double> x = mix.mole_fractions(y);
+  std::vector<double> mu(mix.n_species()), k(mix.n_species());
+  for (std::size_t s = 0; s < mix.n_species(); ++s) {
+    mu[s] = species_viscosity(mix.set().species(s), t);
+    k[s] = oracle_conductivity_species(mix.set().species(s), t);
+  }
+  return {oracle_wilke(mix, x, mu, mu), oracle_wilke(mix, x, k, mu)};
+}
+
+void expect_fused_matches_oracle(const gas::Mixture& mix,
+                                 const std::vector<double>& y, double t) {
+  const MixtureTransport trans(mix);
+  const OracleMuK ref = oracle_mu_k(mix, y, t);
+  const double pr_ref = ref.mu * mix.cp_mass(y, t) / ref.k;
+  const ViscosityPrandtl mp = trans.viscosity_prandtl(y, t);
+  EXPECT_TRUE(same_bits(mp.mu, ref.mu)) << "T=" << t;
+  EXPECT_TRUE(same_bits(mp.pr, pr_ref)) << "T=" << t;
+  EXPECT_TRUE(same_bits(trans.viscosity(y, t), ref.mu)) << "T=" << t;
+  EXPECT_TRUE(same_bits(trans.conductivity(y, t), ref.k)) << "T=" << t;
+  EXPECT_TRUE(same_bits(species_conductivity(mix.set().species(0), t),
+                        oracle_conductivity_species(mix.set().species(0), t)));
+}
+
+const std::vector<double> kFusedTemperatures{200.0,  300.0,  1000.0, 2500.0,
+                                             5000.0, 9000.0, 15000.0, 30000.0};
+
+TEST(TransportFused, Air5MatchesSeparateCallsBitwise) {
+  gas::Mixture mix(gas::make_air5());
+  // Cold air with two species absent (x = 0 drops them from Wilke's sums).
+  const std::vector<double> cold{0.767, 0.233, 0.0, 0.0, 0.0};
+  const std::vector<double> hot{0.35, 0.05, 0.04, 0.31, 0.25};
+  for (const double t : kFusedTemperatures) {
+    expect_fused_matches_oracle(mix, cold, t);
+    expect_fused_matches_oracle(mix, hot, t);
+  }
+}
+
+TEST(TransportFused, Air11WithElectronsMatchesSeparateCallsBitwise) {
+  const gas::SpeciesSet set = gas::make_air11();
+  const gas::EquilibriumSolver eq(set, {{"N2", 0.79}, {"O2", 0.21}});
+  for (const double t : kFusedTemperatures) {
+    const auto st = eq.solve_tp(t, 2000.0);  // ions and e- at the hot end
+    expect_fused_matches_oracle(eq.mixture(), st.y, t);
+  }
+}
+
+TEST(TransportFused, TitanMatchesSeparateCallsBitwise) {
+  const gas::EquilibriumSolver eq(gas::make_titan(),
+                                  {{"N2", 0.95}, {"CH4", 0.05}});
+  for (const double t : kFusedTemperatures) {
+    const auto st = eq.solve_tp(t, 5000.0);
+    expect_fused_matches_oracle(eq.mixture(), st.y, t);
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "solvers/correlations/correlations.hpp"
 #include "solvers/euler/euler.hpp"
 #include "solvers/relax1d/relax1d.hpp"
+#include "transport/transport.hpp"
 
 namespace {
 std::atomic<bool> g_count{false};
@@ -363,6 +364,27 @@ TEST(WorkspaceAlloc, HintedPhSolveAllocsIndependentOfIterationCount) {
   EXPECT_EQ(allocs_far, allocs_near)
       << "hinted Gibbs loop allocated (near hint: " << allocs_near
       << ", far hint: " << allocs_far << ")";
+}
+
+// ---- transport: the boundary-layer property-table query ----
+
+TEST(WorkspaceAlloc, TransportQueriesAreAllocationFreeAfterConstruction) {
+  // Construction binds the Wilke mass factors; every query after it runs
+  // on stack arrays sized by the species database.
+  const gas::EquilibriumSolver eq(gas::make_air11(),
+                                  {{"N2", 0.79}, {"O2", 0.21}});
+  const transport::MixtureTransport trans(eq.mixture());
+  const auto st = eq.solve_tp(9000.0, 3000.0);
+  double sink = 0.0;
+  AllocCounterScope scope;
+  for (int k = 0; k < 50; ++k) {
+    const double t = 1000.0 + 200.0 * static_cast<double>(k);
+    const transport::ViscosityPrandtl mp = trans.viscosity_prandtl(st.y, t);
+    sink += mp.mu + mp.pr + trans.viscosity(st.y, t) +
+            trans.conductivity(st.y, t);
+  }
+  EXPECT_EQ(scope.count(), 0u);
+  EXPECT_GT(sink, 0.0);
 }
 
 // ---- tier-0 serving path: correlations + surrogate lookup ----

@@ -93,15 +93,42 @@ void write_artifacts(const scenario::CaseResult& r, const std::string& csv_dir,
   }
 }
 
+/// The wall-heating metric a full solve of \p c reports: q_conv at a
+/// stagnation point, peak_q_w for the marching families, nose_q_w for a
+/// viscous finite-volume field; null for families that report none (an
+/// inviscid field, say). The tier-0 rows always report q_conv.
+const char* heating_metric(const scenario::Case& c) {
+  switch (c.family) {
+    case scenario::SolverFamily::kStagnationPoint:
+      return "q_conv";
+    case scenario::SolverFamily::kEulerBoundaryLayer:
+    case scenario::SolverFamily::kVslMarch:
+    case scenario::SolverFamily::kPnsMarch:
+      return "peak_q_w";
+    case scenario::SolverFamily::kFiniteVolumeField:
+      return c.viscous ? "nose_q_w" : nullptr;
+    default:
+      return nullptr;
+  }
+}
+
 /// --compare-fidelity: solve the same flight state at every applicable
-/// tier and print one row per tier with the deviation of q_conv from the
-/// nominal answer. Surrogate rows appear only when a registered table
-/// covers the state; correlation/surrogate need a point condition.
+/// tier and print one row per tier with the deviation of the wall heating
+/// from the nominal answer. Surrogate rows appear only when a registered
+/// table covers the state; correlation/surrogate need a point condition.
 int compare_fidelity(const scenario::Case& base, std::size_t threads) {
   if (!(base.condition.velocity_mps > 0.0)) {
     std::fprintf(stderr,
                  "error: --compare-fidelity needs a point-condition "
                  "scenario (condition.velocity_mps > 0)\n");
+    return 1;
+  }
+  const char* metric = heating_metric(base);
+  if (metric == nullptr) {
+    std::fprintf(stderr,
+                 "error: --compare-fidelity: '%s' (%s) reports no wall "
+                 "heating to compare\n",
+                 base.name.c_str(), scenario::to_string(base.family));
     return 1;
   }
   struct Row {
@@ -136,10 +163,8 @@ int compare_fidelity(const scenario::Case& base, std::size_t threads) {
                  "error: nominal solve failed; no deviation reference\n");
     return 2;
   }
-  // Peak wall heating for marching families (VSL, PNS, E+BL: no single
-  // q_conv), stagnation value otherwise.
-  auto heating_of = [](const scenario::CaseResult& r) {
-    for (const char* name : {"q_conv", "peak_q_w"})
+  auto heating_of = [metric](const scenario::CaseResult& r) {
+    for (const char* name : {metric, "q_conv"})
       for (const auto& m : r.metrics)
         if (m.name == name) return m.value;
     return std::nan("");
